@@ -47,7 +47,11 @@ def cmd_optimize(args) -> int:
     registry = _load_registry(args.ext)
     h = _load_graph(args.file)
     rules = [serial.decode_rule(_read(path)) for path in args.rules]
-    h, applied = rewrite.saturate(rules, h, args.budget, registry)
+    try:
+        h, applied = rewrite.saturate(rules, h, args.budget, registry)
+    except rewrite.RewriteError as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return REPORTED
     for name, anchor in applied:
         print(f"{name} {anchor}")
     if len(applied) >= args.budget:

@@ -10,15 +10,20 @@ replacement can never create a dataflow cycle.
 Applying a rule removes the matched image, splices in the replacement
 fragment with the same boundary signature, re-validates the touched region,
 and returns an invertible delta. On any error the host is left unchanged.
+
+Saturation keeps a worklist of candidate anchors per rule, so each
+application re-matches only near the rewrite instead of rescanning the host.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from functools import cached_property
 
 from .build import DfBuilder, splice_region
-from .graph import Direction, Hugr, Port, RemovedSubtree, in_port, out_port
-from .ops import ExtensionOp, FuncDef, Registry, Value, value_signature
+from .graph import Hugr, Port, RemovedSubtree, in_port, out_port
+from .ops import ExtensionOp, FuncDef, OpKind, Registry, Value, value_signature
 from .types import Signature
 
 WILDCARD_EXTENSION = "pattern.wild"
@@ -104,6 +109,11 @@ class Pattern:
 
     def inner_nodes(self) -> list[int]:
         return self.hugr.children(self.region())[2:]
+
+    @cached_property
+    def program(self) -> _Program:
+        """The compiled match program, built on first use."""
+        return _compile(self)
 
     def _check_connected(self) -> None:
         inner = set(self.inner_nodes())
@@ -197,153 +207,169 @@ def _fragment_boundary(fragment: Hugr) -> Signature:
 
 # ── matching ───────────────────────────────────────────────────────
 
-def find_matches(pattern: Pattern, h: Hugr, region: int,
-                 stats: MatchStats | None = None) -> list[Match]:
-    """Every embedding of ``pattern`` in the region, deduplicated and ordered
-    by (anchor host id, embedding)."""
-    matches = list(_iter_matches(pattern, h, region, stats))
-    seen: set[tuple] = set()
-    unique = []
-    for m in matches:
-        k = (m.anchor_host(), m.key())
-        if k not in seen:
-            seen.add(k)
-            unique.append(m)
-    unique.sort(key=lambda m: (m.anchor_host(), m.key()))
-    return unique
+@dataclass(frozen=True)
+class _Program:
+    """A pattern compiled for matching, built once per pattern.
 
-
-def _iter_matches(pattern: Pattern, h: Hugr, region: int,
-                  stats: MatchStats | None = None,
-                  anchors: list[int] | None = None):
-    anchor_op = pattern.hugr.op(pattern.anchor)
-    steps = _match_program(pattern)
-
-    if anchors is None:
-        anchors = [n for n in sorted(h.children(region))
-                   if _op_matches(anchor_op, h.op(n))]
-    for anchor_host in anchors:
-        if stats:
-            stats.anchors_tried += 1
-        mapping = {pattern.anchor: anchor_host}
-        used = {anchor_host}
-        yield from _extend(pattern, h, region, steps, 0, mapping, used, stats)
-
-
-def _match_program(pattern: Pattern) -> list[tuple]:
-    """Deterministic frontier steps: (known node, its port, peer node, peer port).
-
-    BFS from the anchor; at each mapped node, ports are visited outgoing
-    first, offsets ascending, edges in insertion order.
+    ``steps`` are deterministic frontier steps, each (known node, outgoing,
+    port offset, peer node, peer port offset, peer op): BFS from the anchor;
+    at each mapped node, ports are visited outgoing first, offsets ascending,
+    edges in insertion order. ``out_ports`` and ``inputs`` are the final
+    embedding checks, precomputed per pattern port.
     """
+
+    anchor_op: OpKind
+    steps: tuple[tuple, ...]
+    radius: int  # largest BFS distance from the anchor to an inner node
+    out_ports: tuple[tuple, ...]  # (node, offset, inner (node, offset) targets, exported)
+    inputs: tuple[tuple[tuple[int, int], ...], ...]  # inner (node, offset) fed per input
+
+
+def _compile(pattern: Pattern) -> _Program:
     ph = pattern.hugr
     inner = set(pattern.inner_nodes())
     steps: list[tuple] = []
-    seen = {pattern.anchor}
+    depth = {pattern.anchor: 0}
     queue = [pattern.anchor]
     while queue:
         n = queue.pop(0)
         nd = ph.node(n)
-        for off, edges in enumerate(nd.out_edges):
-            for e in edges:
-                if isinstance(e.kind, Value) and e.dst.node in inner and e.dst.node not in seen:
-                    seen.add(e.dst.node)
-                    steps.append((n, Port(n, Direction.OUT, off), e.dst.node, e.dst))
-                    queue.append(e.dst.node)
-        for off, edges in enumerate(nd.in_edges):
-            for e in edges:
-                if isinstance(e.kind, Value) and e.src.node in inner and e.src.node not in seen:
-                    seen.add(e.src.node)
-                    steps.append((n, Port(n, Direction.IN, off), e.src.node, e.src))
-                    queue.append(e.src.node)
-    return steps
+        for outgoing, rows in ((True, nd.out_edges), (False, nd.in_edges)):
+            for off, edges in enumerate(rows):
+                for e in edges:
+                    peer = e.dst if outgoing else e.src
+                    if isinstance(e.kind, Value) and peer.node in inner \
+                            and peer.node not in depth:
+                        depth[peer.node] = depth[n] + 1
+                        steps.append((n, outgoing, off, peer.node, peer.offset,
+                                      ph.op(peer.node)))
+                        queue.append(peer.node)
+
+    # a complete mapping holds exactly the nodes the steps reach
+    p_input, p_output = ph.children(pattern.region())[:2]
+    boundary = pattern.boundary()
+    exported = {(e.src.node, e.src.offset)
+                for off in range(len(boundary.outputs))
+                for e in ph.edges_at(in_port(p_output, off))}
+    out_ports = tuple(
+        (pn, off, tuple((e.dst.node, e.dst.offset) for e in edges if e.dst.node in depth),
+         (pn, off) in exported)
+        for pn in depth for off, edges in enumerate(ph.node(pn).out_edges))
+    inputs = tuple(
+        tuple((e.dst.node, e.dst.offset) for e in ph.edges_at(out_port(p_input, off))
+              if e.dst.node in depth)
+        for off in range(len(boundary.inputs)))
+    return _Program(ph.op(pattern.anchor), tuple(steps), max(depth.values()),
+                    out_ports, inputs)
 
 
-def _extend(pattern, h, region, steps, depth, mapping, used, stats):
-    if depth == len(steps):
-        m = _finalise(pattern, h, region, mapping)
-        if m is not None:
-            yield m
+def _anchor_candidates(h: Hugr, region: int, ops) -> dict[OpKind, list[int]]:
+    """The children of ``region`` whose op is one of ``ops``, ascending, per op."""
+    by_op: dict[OpKind, list[int]] = {op: [] for op in ops}
+    for n in sorted(h.children(region)):
+        bucket = by_op.get(h.op(n))
+        if bucket is not None:
+            bucket.append(n)
+    return by_op
+
+
+def find_matches(pattern: Pattern, h: Hugr, region: int,
+                 stats: MatchStats | None = None) -> list[Match]:
+    """Every embedding of ``pattern`` in the region, deduplicated and ordered
+    by (anchor host id, embedding)."""
+    anchor_op = pattern.program.anchor_op
+    unique: dict[tuple, Match] = {}
+    for anchor in _anchor_candidates(h, region, (anchor_op,))[anchor_op]:
+        for m in _embeddings(pattern, h, region, anchor, stats):
+            if _is_convex(h, region, m.image()):
+                unique.setdefault((anchor, m.key()), m)
+    return [unique[k] for k in sorted(unique)]
+
+
+def _first_match(pattern: Pattern, h: Hugr, region: int, anchor: int,
+                 stats: MatchStats | None) -> tuple[Match | None, bool]:
+    """The first convex embedding at ``anchor``; failing that, whether some
+    embedding was rejected by the convexity check alone."""
+    convex_rejected = False
+    for m in _embeddings(pattern, h, region, anchor, stats):
+        if _is_convex(h, region, m.image()):
+            return m, False
+        convex_rejected = True
+    return None, convex_rejected
+
+
+def _embeddings(pattern: Pattern, h: Hugr, region: int, anchor: int,
+                stats: MatchStats | None):
+    """Every embedding at ``anchor`` that passes the local checks (all but
+    convexity), in the matcher's order."""
+    if stats is not None:
+        stats.anchors_tried += 1
+    prog = pattern.program
+    for mapping in _extend(prog, h, region, 0, {pattern.anchor: anchor}, {anchor}, stats):
+        sources = _boundary_sources(prog, h, mapping)
+        if sources is not None:
+            yield Match(pattern, region, dict(mapping), sources)
+
+
+def _extend(prog: _Program, h: Hugr, region: int, depth: int,
+            mapping: dict[int, int], used: set[int], stats: MatchStats | None):
+    if depth == len(prog.steps):
+        yield mapping
         return
-    p_known, p_port, p_peer, p_peer_port = steps[depth]
-    host_node = mapping[p_known]
-    host_port = Port(host_node, p_port.direction, p_port.offset)
-    if stats:
+    known, outgoing, off, peer, peer_off, peer_op = prog.steps[depth]
+    nd = h.node(mapping[known])
+    if stats is not None:
         stats.frontier_steps += 1
-    peer_op = pattern.hugr.op(p_peer)
-    for cand in h.neighbours(host_port):
-        if stats:
+    for e in (nd.out_edges if outgoing else nd.in_edges)[off]:
+        if stats is not None:
             stats.candidates_explored += 1
-        if cand.offset != p_peer_port.offset:
+        cand = e.dst if outgoing else e.src
+        if cand.offset != peer_off:
             continue
         c_node = cand.node
         if c_node in used or h.parent(c_node) != region:
             continue
         if not _op_matches(peer_op, h.op(c_node)):
             continue
-        mapping[p_peer] = c_node
+        mapping[peer] = c_node
         used.add(c_node)
-        yield from _extend(pattern, h, region, steps, depth + 1, mapping, used, stats)
-        del mapping[p_peer]
+        yield from _extend(prog, h, region, depth + 1, mapping, used, stats)
+        del mapping[peer]
         used.remove(c_node)
 
 
-def _finalise(pattern: Pattern, h: Hugr, region: int,
-              mapping: dict[int, int]) -> Match | None:
-    ph = pattern.hugr
-    children = ph.children(pattern.region())
-    p_input, p_output = children[0], children[1]
+def _boundary_sources(prog: _Program, h: Hugr,
+                      mapping: dict[int, int]) -> tuple[Port, ...] | None:
+    """The host source per boundary input when ``mapping`` embeds the
+    pattern's edges and boundary exactly; every check but convexity."""
     image = set(mapping.values())
 
-    # interior edges must all exist with identical ports and types
-    for pn, hn in mapping.items():
-        for off, edges in enumerate(ph.node(pn).out_edges):
-            host_edges = h.edges_at(Port(hn, Direction.OUT, off))
-            host_pairs = {(e.dst.node, e.dst.offset) for e in host_edges}
-            for e in edges:
-                if e.dst.node in mapping:
-                    if (mapping[e.dst.node], e.dst.offset) not in host_pairs:
-                        return None
+    # interior edges exist with identical ports; values leave only as outputs
+    for pn, off, targets, exported in prog.out_ports:
+        edges = h.node(mapping[pn]).out_edges[off]
+        inside = sum(1 for e in edges if e.dst.node in image)
+        if inside != len(targets) or (inside < len(edges) and not exported):
+            return None
+        if targets:
+            pairs = {(e.dst.node, e.dst.offset) for e in edges}
+            if any((mapping[n], o) not in pairs for n, o in targets):
+                return None
 
     # boundary inputs: consistent host sources outside the image
-    n_in = len(pattern.boundary().inputs)
-    sources: list[Port | None] = [None] * n_in
-    for off in range(n_in):
-        for e in ph.edges_at(Port(p_input, Direction.OUT, off)):
-            if e.dst.node not in mapping:
-                continue
-            host_in = h.edges_at(Port(mapping[e.dst.node], Direction.IN, e.dst.offset))
-            if len(host_in) != 1:
+    sources: list[Port] = []
+    for consumers in prog.inputs:
+        src = None
+        for pn, off in consumers:
+            edges = h.node(mapping[pn]).in_edges[off]
+            if len(edges) != 1 or edges[0].src.node in image:
                 return None
-            s = host_in[0].src
-            if s.node in image:
+            if src is not None and src != edges[0].src:
                 return None
-            if sources[off] is not None and sources[off] != s:
-                return None
-            sources[off] = s
-    if any(s is None for s in sources):
-        return None
-
-    # escapes: host edges leaving the image require a boundary output port
-    exported: set[tuple[int, int]] = set()
-    for off in range(len(pattern.boundary().outputs)):
-        for e in ph.edges_at(Port(p_output, Direction.IN, off)):
-            exported.add((mapping[e.src.node], e.src.offset))
-    for pn, hn in mapping.items():
-        for off in range(len(ph.node(pn).out_edges)):
-            p_targets_inside = sum(
-                1 for e in ph.edges_at(Port(pn, Direction.OUT, off)) if e.dst.node in mapping)
-            host_edges = h.edges_at(Port(hn, Direction.OUT, off))
-            outside = [e for e in host_edges if e.dst.node not in image]
-            inside = [e for e in host_edges if e.dst.node in image]
-            if len(inside) != p_targets_inside:
-                return None
-            if outside and (hn, off) not in exported:
-                return None
-
-    if not _is_convex(h, region, image):
-        return None
-    return Match(pattern, region, dict(mapping), tuple(sources))
+            src = edges[0].src
+        if src is None:
+            return None
+        sources.append(src)
+    return tuple(sources)
 
 
 def _is_convex(h: Hugr, region: int, image: set[int]) -> bool:
@@ -375,8 +401,7 @@ def _is_convex(h: Hugr, region: int, image: set[int]) -> bool:
 
 # ── application ────────────────────────────────────────────────────
 
-def apply(rule: RewriteRule, match: Match, h: Hugr, registry: Registry,
-          full_check: bool = False) -> RewriteDelta:
+def apply(rule: RewriteRule, match: Match, h: Hugr, registry: Registry) -> RewriteDelta:
     """Replace the matched image by the rule's rhs; validate; return a delta.
 
     Raises StaleMatch / WouldCreateCycle / ValidationFailed, in which case
@@ -385,11 +410,8 @@ def apply(rule: RewriteRule, match: Match, h: Hugr, registry: Registry,
     The post-splice check covers every node whose wiring changed. Replacing a
     convex image by a dataflow fragment attached only at the boundary cannot
     create cycles (convexity is re-checked here), so on a valid host the
-    region stays valid whenever this check passes. ``full_check`` re-runs the
-    whole-region validation instead.
+    region stays valid whenever this check passes.
     """
-    from .validate import validate_region
-
     _recheck(rule.lhs, match, h)
 
     region = match.region
@@ -414,13 +436,10 @@ def apply(rule: RewriteRule, match: Match, h: Hugr, registry: Registry,
                 if wire.node < watermark and dst.node < watermark:
                     added_edges.append(edge)
         added = [n for n in h.children(region) if n >= watermark]
-        if full_check:
-            diags = validate_region(h, region, registry)
-        else:
-            touched = set(added)
-            touched.update(s.node for s in match.boundary_sources)
-            touched.update(dst.node for ports in consumers for dst in ports)
-            diags = _check_touched(h, region, registry, touched)
+        touched = set(added)
+        touched.update(s.node for s in match.boundary_sources)
+        touched.update(dst.node for ports in consumers for dst in ports)
+        diags = _check_touched(h, region, registry, touched)
         if diags:
             raise ValidationFailed(
                 f"rule {rule.name!r} left the region invalid: {diags[0].render()}")
@@ -450,10 +469,9 @@ def _recheck(pattern: Pattern, match: Match, h: Hugr) -> None:
             raise StaleMatch(f"host node {hn} vanished or moved")
         if not _op_matches(pattern.hugr.op(pn), h.op(hn)):
             raise StaleMatch(f"host node {hn} changed operation")
-    fresh = _finalise(pattern, h, match.region, match.mapping)
-    if fresh is None or fresh.boundary_sources != match.boundary_sources:
-        if not _is_convex(h, match.region, match.image()):
-            raise WouldCreateCycle("match image is no longer convex")
+    if not _is_convex(h, match.region, match.image()):
+        raise WouldCreateCycle("match image is no longer convex")
+    if _boundary_sources(pattern.program, h, match.mapping) != match.boundary_sources:
         raise StaleMatch("match no longer embeds")
 
 
@@ -493,46 +511,136 @@ def _dataflow_regions(h: Hugr) -> list[int]:
     return out
 
 
-def saturate(rules: list[RewriteRule], h: Hugr, budget: int,
-             registry: Registry) -> tuple[Hugr, list[tuple[str, int]]]:
-    """Repeatedly apply the first matching rule (rule order, then leftmost
-    anchor) until fixpoint or ``budget`` applications."""
+def saturate(rules: list[RewriteRule], h: Hugr, budget: int, registry: Registry,
+             stats: MatchStats | None = None) -> tuple[Hugr, list[tuple[str, int]]]:
+    """Apply the first match until fixpoint or ``budget`` applications.
+
+    Each application is the one a full rescan of the host would pick: rule
+    order first, then dataflow regions in hierarchy preorder, then the lowest
+    anchor host id, then the first embedding the matcher yields there.
+
+    The rescan is replaced by a worklist. One initial pass tries every anchor
+    of every rule and keeps those with an embedding that passes every check
+    but convexity. Selection re-verifies the best kept anchor with the full
+    matcher and drops it if it no longer matches. Apart from convexity, whether
+    an anchor matches depends only on the ops and edges of nodes within the
+    pattern radius of it: the BFS distance from the anchor to the farthest
+    inner node. So after an application only the nodes of the rewritten region
+    within that radius of the rewrite's boundary sources, its consumers and its
+    added nodes are queued again; the first two are the surviving ends of the
+    edges it removed. Convexity is not local: a rewrite can cut a path that
+    leaves an image and re-enters it anywhere in the region. So an anchor whose
+    embeddings failed the convexity check alone is rechecked after every
+    application. The region list is recomputed only when an application adds
+    or removes a node that has children.
+    """
     applied: list[tuple[str, int]] = []
-    regions = _dataflow_regions(h)
-    # per-region index from op to candidate anchors, rebuilt when dirty
-    index: dict[int, dict] = {}
-
-    def region_index(region: int) -> dict:
-        if region not in index:
-            by_op: dict = {}
-            for n in sorted(h.children(region)):
-                by_op.setdefault(h.op(n), []).append(n)
-            index[region] = by_op
-        return index[region]
-
+    if budget <= 0:
+        return h, applied
+    work = _Worklist(rules, h, stats)
     while len(applied) < budget:
-        hit = None
-        for rule in rules:
-            anchor_op = rule.lhs.hugr.op(rule.lhs.anchor)
-            for region in regions:
-                if region not in h:
-                    continue
-                candidates = region_index(region).get(anchor_op)
-                if not candidates:
-                    continue
-                for m in _iter_matches(rule.lhs, h, region, anchors=candidates):
-                    hit = (rule, m)
-                    break
-                if hit:
-                    break
-            if hit:
-                break
+        hit = work.select()
         if hit is None:
             break
         rule, m = hit
-        apply(rule, m, h, registry)
+        delta = apply(rule, m, h, registry)
         applied.append((rule.name, m.anchor_host()))
-        index.pop(m.region, None)
-        regions = _dataflow_regions(h)
-        index = {r: ix for r, ix in index.items() if r in h}
+        work.update(delta)
     return h, applied
+
+
+class _Worklist:
+    """Candidate anchors per rule, each a heap in saturate's pick order."""
+
+    def __init__(self, rules: list[RewriteRule], h: Hugr, stats: MatchStats | None):
+        self.rules, self.h, self.stats = rules, h, stats
+        self.by_op: dict[OpKind, list[int]] = {}  # anchor op -> rule indices
+        for i, rule in enumerate(rules):
+            self.by_op.setdefault(rule.lhs.program.anchor_op, []).append(i)
+        self.radius = max((rule.lhs.program.radius for rule in rules), default=0)
+        # per rule: heap of (region position, anchor, region), and its anchors
+        self.queues: list[list[tuple[int, int, int]]] = [[] for _ in rules]
+        self.queued: list[set[int]] = [set() for _ in rules]  # parked ones too
+        self.parked: list[tuple[int, tuple[int, int, int]]] = []  # convexity-rejected
+        self.positions: dict[int, int] = {}  # region -> preorder position
+        self._reindex()
+
+    def select(self) -> tuple[RewriteRule, Match] | None:
+        for i, rule in enumerate(self.rules):
+            queue = self.queues[i]
+            while queue:
+                entry = heapq.heappop(queue)
+                _, anchor, region = entry
+                m, convex_rejected = (None, False)
+                if anchor in self.h:
+                    m, convex_rejected = _first_match(rule.lhs, self.h, region, anchor,
+                                                      self.stats)
+                if convex_rejected:
+                    self.parked.append((i, entry))
+                    continue
+                self.queued[i].discard(anchor)
+                if m is not None:
+                    return rule, m
+        return None
+
+    def update(self, delta: RewriteDelta) -> None:
+        """Queue again what the application ``delta`` may have made match."""
+        h = self.h
+        for i, entry in self.parked:
+            heapq.heappush(self.queues[i], entry)
+        self.parked.clear()
+        if any(len(sub.nodes) > 1 for sub in delta.removed) or \
+                any(h.children(n) for n in delta.added_nodes):
+            self._reindex()
+
+        region = delta.region
+        seeds = set(delta.added_nodes)
+        for sub in delta.removed:
+            for e in sub.edges:
+                seeds.update((e.src.node, e.dst.node))
+        dist = {n: 0 for n in seeds if n in h and h.parent(n) == region}
+        frontier = list(dist)
+        for d in range(1, self.radius + 1):
+            reached = []
+            for n in frontier:
+                nd = h.node(n)
+                peers = [e.src.node for edges in nd.in_edges for e in edges]
+                peers += [e.dst.node for edges in nd.out_edges for e in edges]
+                for p in peers:
+                    if p not in dist and h.parent(p) == region:
+                        dist[p] = d
+                        reached.append(p)
+            frontier = reached
+        for n, d in dist.items():
+            for i in self.by_op.get(h.op(n), ()):
+                if d <= self.rules[i].lhs.program.radius:
+                    self._push(i, region, n)
+
+    def _reindex(self) -> None:
+        """Recompute the region list; scan the regions that are new."""
+        old = self.positions
+        self.positions = {r: i for i, r in enumerate(_dataflow_regions(self.h))}
+        for i, queue in enumerate(self.queues):
+            kept = [(self.positions[r], a, r) for _, a, r in queue if r in self.positions]
+            heapq.heapify(kept)
+            self.queues[i] = kept
+            self.queued[i] = {a for _, a, _ in kept}
+        for region in self.positions:
+            if region not in old:
+                self._scan(region)
+
+    def _scan(self, region: int) -> None:
+        """Queue every anchor in ``region`` with an embedding that passes the
+        local checks; selection checks convexity."""
+        found = _anchor_candidates(self.h, region, self.by_op)
+        for op, anchors in found.items():
+            for i in self.by_op[op]:
+                lhs = self.rules[i].lhs
+                for anchor in anchors:
+                    if next(_embeddings(lhs, self.h, region, anchor, self.stats), None):
+                        self._push(i, region, anchor)
+
+    def _push(self, i: int, region: int, anchor: int) -> None:
+        if anchor not in self.queued[i]:
+            self.queued[i].add(anchor)
+            heapq.heappush(self.queues[i], (self.positions[region], anchor, region))

@@ -464,7 +464,7 @@ def encode_rule(rule) -> str:
 
 
 def decode_rule(text: str):
-    from .rewrite import Pattern, RewriteRule
+    from .rewrite import Pattern, RewriteError, RewriteRule
 
     try:
         doc = json.loads(text)
@@ -476,4 +476,7 @@ def decode_rule(text: str):
         raise DecodeError(f"malformed rule file: {exc}") from exc
     if anchor_doc_id not in lhs_map:
         raise DecodeError(f"rule anchor {anchor_doc_id} is not a node of the lhs")
-    return RewriteRule(Pattern(lhs_h, lhs_map[anchor_doc_id]), rhs, name)
+    try:
+        return RewriteRule(Pattern(lhs_h, lhs_map[anchor_doc_id]), rhs, name)
+    except RewriteError as exc:
+        raise DecodeError(f"invalid rule {name!r}: {exc}") from exc

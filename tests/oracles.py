@@ -4,8 +4,17 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from hugr_ir import Direction, Hugr, Port, Value
-from hugr_ir.rewrite import Pattern, _op_matches
+from hugr_ir import Direction, Hugr, Port, Registry, Value
+from hugr_ir.ops import BasicBlock, Case, FuncDef, TailLoop
+from hugr_ir.rewrite import (
+    Match,
+    MatchStats,
+    Pattern,
+    RewriteRule,
+    _is_convex,
+    _op_matches,
+    apply,
+)
 from hugr_ir.structure import CfgView
 
 
@@ -103,6 +112,199 @@ def _convex(h: Hugr, region: int, image: set[int]) -> bool:
                     seen.add(s)
                     frontier.append(s)
     return True
+
+
+# ── full-rescan saturation ─────────────────────────────────────────
+
+def _naive_dataflow_regions(h: Hugr) -> list[int]:
+
+    out = []
+    for n in h.preorder():
+        if isinstance(h.op(n), (FuncDef, Case, TailLoop, BasicBlock)):
+            out.append(n)
+    return out
+
+
+def naive_saturate(rules: list[RewriteRule], h: Hugr, budget: int,
+                   registry: Registry) -> tuple[Hugr, list[tuple[str, int]]]:
+    """Repeatedly apply the first matching rule (rule order, then leftmost
+    anchor) until fixpoint or ``budget`` applications.
+
+    The full-rescan saturation the worklist in ``hugr_ir.rewrite.saturate``
+    replaced, kept with its matcher as the reference for its pick order.
+    """
+    applied: list[tuple[str, int]] = []
+    regions = _naive_dataflow_regions(h)
+    # per-region index from op to candidate anchors, rebuilt when dirty
+    index: dict[int, dict] = {}
+
+    def region_index(region: int) -> dict:
+        if region not in index:
+            by_op: dict = {}
+            for n in sorted(h.children(region)):
+                by_op.setdefault(h.op(n), []).append(n)
+            index[region] = by_op
+        return index[region]
+
+    while len(applied) < budget:
+        hit = None
+        for rule in rules:
+            anchor_op = rule.lhs.hugr.op(rule.lhs.anchor)
+            for region in regions:
+                if region not in h:
+                    continue
+                candidates = region_index(region).get(anchor_op)
+                if not candidates:
+                    continue
+                for m in _naive_iter_matches(rule.lhs, h, region, anchors=candidates):
+                    hit = (rule, m)
+                    break
+                if hit:
+                    break
+            if hit:
+                break
+        if hit is None:
+            break
+        rule, m = hit
+        apply(rule, m, h, registry)
+        applied.append((rule.name, m.anchor_host()))
+        index.pop(m.region, None)
+        regions = _naive_dataflow_regions(h)
+        index = {r: ix for r, ix in index.items() if r in h}
+    return h, applied
+
+
+def _naive_iter_matches(pattern: Pattern, h: Hugr, region: int,
+                        stats: MatchStats | None = None,
+                        anchors: list[int] | None = None):
+    anchor_op = pattern.hugr.op(pattern.anchor)
+    steps = _naive_match_program(pattern)
+
+    if anchors is None:
+        anchors = [n for n in sorted(h.children(region))
+                   if _op_matches(anchor_op, h.op(n))]
+    for anchor_host in anchors:
+        if stats:
+            stats.anchors_tried += 1
+        mapping = {pattern.anchor: anchor_host}
+        used = {anchor_host}
+        yield from _naive_extend(pattern, h, region, steps, 0, mapping, used, stats)
+
+
+def _naive_match_program(pattern: Pattern) -> list[tuple]:
+    """Deterministic frontier steps: (known node, its port, peer node, peer port).
+
+    BFS from the anchor; at each mapped node, ports are visited outgoing
+    first, offsets ascending, edges in insertion order.
+    """
+    ph = pattern.hugr
+    inner = set(pattern.inner_nodes())
+    steps: list[tuple] = []
+    seen = {pattern.anchor}
+    queue = [pattern.anchor]
+    while queue:
+        n = queue.pop(0)
+        nd = ph.node(n)
+        for off, edges in enumerate(nd.out_edges):
+            for e in edges:
+                if isinstance(e.kind, Value) and e.dst.node in inner and e.dst.node not in seen:
+                    seen.add(e.dst.node)
+                    steps.append((n, Port(n, Direction.OUT, off), e.dst.node, e.dst))
+                    queue.append(e.dst.node)
+        for off, edges in enumerate(nd.in_edges):
+            for e in edges:
+                if isinstance(e.kind, Value) and e.src.node in inner and e.src.node not in seen:
+                    seen.add(e.src.node)
+                    steps.append((n, Port(n, Direction.IN, off), e.src.node, e.src))
+                    queue.append(e.src.node)
+    return steps
+
+
+def _naive_extend(pattern, h, region, steps, depth, mapping, used, stats):
+    if depth == len(steps):
+        m = _naive_finalise(pattern, h, region, mapping)
+        if m is not None:
+            yield m
+        return
+    p_known, p_port, p_peer, p_peer_port = steps[depth]
+    host_node = mapping[p_known]
+    host_port = Port(host_node, p_port.direction, p_port.offset)
+    if stats:
+        stats.frontier_steps += 1
+    peer_op = pattern.hugr.op(p_peer)
+    for cand in h.neighbours(host_port):
+        if stats:
+            stats.candidates_explored += 1
+        if cand.offset != p_peer_port.offset:
+            continue
+        c_node = cand.node
+        if c_node in used or h.parent(c_node) != region:
+            continue
+        if not _op_matches(peer_op, h.op(c_node)):
+            continue
+        mapping[p_peer] = c_node
+        used.add(c_node)
+        yield from _naive_extend(pattern, h, region, steps, depth + 1, mapping, used, stats)
+        del mapping[p_peer]
+        used.remove(c_node)
+
+
+def _naive_finalise(pattern: Pattern, h: Hugr, region: int,
+                    mapping: dict[int, int]) -> Match | None:
+    ph = pattern.hugr
+    children = ph.children(pattern.region())
+    p_input, p_output = children[0], children[1]
+    image = set(mapping.values())
+
+    # interior edges must all exist with identical ports and types
+    for pn, hn in mapping.items():
+        for off, edges in enumerate(ph.node(pn).out_edges):
+            host_edges = h.edges_at(Port(hn, Direction.OUT, off))
+            host_pairs = {(e.dst.node, e.dst.offset) for e in host_edges}
+            for e in edges:
+                if e.dst.node in mapping:
+                    if (mapping[e.dst.node], e.dst.offset) not in host_pairs:
+                        return None
+
+    # boundary inputs: consistent host sources outside the image
+    n_in = len(pattern.boundary().inputs)
+    sources: list[Port | None] = [None] * n_in
+    for off in range(n_in):
+        for e in ph.edges_at(Port(p_input, Direction.OUT, off)):
+            if e.dst.node not in mapping:
+                continue
+            host_in = h.edges_at(Port(mapping[e.dst.node], Direction.IN, e.dst.offset))
+            if len(host_in) != 1:
+                return None
+            s = host_in[0].src
+            if s.node in image:
+                return None
+            if sources[off] is not None and sources[off] != s:
+                return None
+            sources[off] = s
+    if any(s is None for s in sources):
+        return None
+
+    # escapes: host edges leaving the image require a boundary output port
+    exported: set[tuple[int, int]] = set()
+    for off in range(len(pattern.boundary().outputs)):
+        for e in ph.edges_at(Port(p_output, Direction.IN, off)):
+            exported.add((mapping[e.src.node], e.src.offset))
+    for pn, hn in mapping.items():
+        for off in range(len(ph.node(pn).out_edges)):
+            p_targets_inside = sum(
+                1 for e in ph.edges_at(Port(pn, Direction.OUT, off)) if e.dst.node in mapping)
+            host_edges = h.edges_at(Port(hn, Direction.OUT, off))
+            outside = [e for e in host_edges if e.dst.node not in image]
+            inside = [e for e in host_edges if e.dst.node in image]
+            if len(inside) != p_targets_inside:
+                return None
+            if outside and (hn, off) not in exported:
+                return None
+
+    if not _is_convex(h, region, image):
+        return None
+    return Match(pattern, region, dict(mapping), tuple(sources))
 
 
 def removal_dominators(view: CfgView) -> dict[int, set[int]]:

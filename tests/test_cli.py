@@ -268,3 +268,41 @@ def test_extension_flag_loads_declarations(registry, tmp_path, capsys):
     assert main(["validate", str(prog)]) == 1  # unknown without the declaration
     capsys.readouterr()
     assert main(["validate", str(prog), "--ext", str(ext_file)]) == 0
+
+
+def test_optimize_rule_anchored_on_input_is_a_decode_error(registry, tmp_path, capsys):
+    circuit = tmp_path / "hh.hugr.json"
+    circuit.write_text(encode(chain_circuit(["H", "H"], registry)))
+    doc = json.loads(encode_rule(hh_cancel(registry)))
+    (input_id,) = [n["id"] for n in doc["lhs"]["nodes"] if n["op"]["kind"] == "Input"]
+    doc["anchor"] = input_id
+    rule = tmp_path / "bad.hugrrule.json"
+    rule.write_text(json.dumps(doc))
+    out = tmp_path / "out.hugr.json"
+    assert main(["optimize", str(circuit), "--rules", str(rule), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "anchor" in err
+    assert not out.exists()
+
+
+def test_optimize_invalid_replacement_reports_and_writes_nothing(registry, tmp_path, capsys):
+    from hugr_ir.build import new_module
+    from hugr_ir.rewrite import RewriteRule
+    from hugr_ir.types import QUBIT, Signature
+
+    m = new_module(registry)
+    rb = m.define_function("fragment", Signature((QUBIT,), (QUBIT,)))
+    (q,) = rb.inputs()
+    rb.q("QAlloc")  # dangling linear output
+    rb.set_outputs(q)
+    bad = RewriteRule(hh_cancel(registry).lhs, m.hugr, "bad_rhs")
+    circuit = tmp_path / "hh.hugr.json"
+    circuit.write_text(encode(chain_circuit(["H", "H"], registry)))
+    rule = tmp_path / "bad.hugrrule.json"
+    rule.write_text(encode_rule(bad))
+    out = tmp_path / "out.hugr.json"
+    assert main(["optimize", str(circuit), "--rules", str(rule), "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("ValidationFailed: ")
+    assert captured.out == ""
+    assert not out.exists()
