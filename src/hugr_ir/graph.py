@@ -9,14 +9,22 @@ order, CFG entry.
 Node ids are never reused within one graph instance, which keeps undo logs
 and rewrite deltas unambiguous. Mutation requires exclusive access; reads are
 safe to share.
+
+Every mutating method bumps :attr:`Hugr.version`. Values derived from the
+graph by :meth:`Hugr.derived` (the evaluator's region schedules) are kept
+until the version next moves, so any mutation invalidates all of them.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Callable, TypeVar
 
 from .ops import ControlFlow, OpKind, PortKind, Static, Value, port_rows
+
+
+T = TypeVar("T")
 
 
 class GraphError(Exception):
@@ -92,6 +100,9 @@ class Hugr:
         self._nodes: dict[int, Node] = {}
         self._next_id = 0
         self._edge_keys: set[tuple[Port, Port, PortKind]] = set()
+        self.version = 0  # bumped by every mutation
+        self._derived: dict = {}
+        self._derived_version = 0
         self.root = self._fresh_node(root_op if root_op is not None else Module(), None)
 
     # ── accessors ──────────────────────────────────────────────────
@@ -174,6 +185,22 @@ class Hugr:
                 out.extend(edges)
         return out
 
+    def derived(self, build: Callable[["Hugr", int], T], node: int) -> T:
+        """``build(self, node)``, computed once per :attr:`version`.
+
+        The cache belongs to this graph: every mutation empties it, and a
+        :meth:`copy` starts with an empty one.
+        """
+        if self._derived_version != self.version:
+            self._derived = {}
+            self._derived_version = self.version
+        key = (build, node)
+        try:
+            return self._derived[key]
+        except KeyError:
+            value = self._derived[key] = build(self, node)
+            return value
+
     # ── mutation ───────────────────────────────────────────────────
 
     def _fresh_node(self, op: OpKind, parent: int | None) -> int:
@@ -188,12 +215,7 @@ class Hugr:
         nid = self._fresh_node(op, parent)
         pnode.children.append(nid)
         assert self._nodes[nid].parent == parent  # fresh leaf keeps the tree a tree
-        return nid
-
-    def insert_node(self, op: OpKind, parent: int, index: int) -> int:
-        pnode = self.node(parent)
-        nid = self._fresh_node(op, parent)
-        pnode.children.insert(index, nid)
+        self.version += 1
         return nid
 
     def connect(self, src: Port, dst: Port, kind: PortKind) -> Edge:
@@ -210,6 +232,7 @@ class Hugr:
         self._nodes[src.node].out_edges[src.offset].append(edge)
         self._nodes[dst.node].in_edges[dst.offset].append(edge)
         self._edge_keys.add(key)
+        self.version += 1
         return edge
 
     def has_edge(self, edge: Edge) -> bool:
@@ -222,6 +245,7 @@ class Hugr:
         self._edge_keys.remove(key)
         self._nodes[edge.src.node].out_edges[edge.src.offset].remove(edge)
         self._nodes[edge.dst.node].in_edges[edge.dst.offset].remove(edge)
+        self.version += 1
 
     def remove_node(self, node: int) -> RemovedSubtree:
         """Remove ``node`` and all descendants plus every incident edge.
@@ -258,6 +282,7 @@ class Hugr:
         for n in subtree:
             del self._nodes[n]
         assert node not in self._nodes[parent].children
+        self.version += 1
         return RemovedSubtree(nodes, removed_edges)
 
     def restore(self, removed: RemovedSubtree) -> None:
@@ -279,6 +304,7 @@ class Hugr:
                 siblings.insert(idx, nid)
         for e in removed.edges:
             self.connect(e.src, e.dst, e.kind)
+        self.version += 1
         if __debug__:
             self._assert_tree()
 
@@ -306,6 +332,9 @@ class Hugr:
         h._nodes = {}
         h._next_id = self._next_id
         h._edge_keys = set(self._edge_keys)
+        h.version = 0
+        h._derived = {}
+        h._derived_version = 0
         h.root = self.root
         for nid, nd in self._nodes.items():
             copy = Node(nd.id, nd.parent, nd.op, list(nd.children))

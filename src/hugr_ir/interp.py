@@ -6,6 +6,19 @@ cap 10 qubits). Measurement outcomes come from an :class:`OutcomeSource` —
 either a script of booleans, for deterministic control-flow tests, or a
 seeded generator sampling Born-rule probabilities.
 
+Each region is compiled once into a flat schedule: its nodes in execution
+order, each with the value slots it reads, plus the slots the region
+returns. Running a region is then a loop over that schedule into one list
+of values. The order is the smallest-id-first topological order over value
+edges, which fixes the order of measurements and so the outcome each one
+draws. Schedules are derived from the graph and cached on it
+(:meth:`Hugr.derived`), so every interpreter over one graph shares them,
+and any mutation of the graph invalidates them all.
+
+Qubit kernels act on a ``(left, 2, right)`` reshape of the flat amplitude
+vector around the qubit's axis. Every gate still checks the norm, every
+handle is consumed exactly once, and freeing checks separability.
+
 Conventions fixed here and shared by the fixtures and the structuring pass:
 the first bool a loop body emits means *finished* when true and *repeat*
 when false; equivalence checks ignore global phase (fidelity based).
@@ -14,7 +27,7 @@ when false; equivalence checks ignore global phase (fidelity based).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +43,7 @@ from .ops import (
     FuncDef,
     LoadConst,
     LoadFunction,
+    OpKind,
     Registry,
     TailLoop,
     Value,
@@ -161,8 +175,15 @@ def _rx(theta: float) -> np.ndarray:
     return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
 
 
+_SWAP_BITS = [0, 2, 1, 3]  # basis order of a two-qubit matrix with its qubits swapped
+
+
 class QuantumState:
-    """Dense statevector over the currently live qubits."""
+    """Dense statevector over the currently live qubits.
+
+    Axis 0 is the most significant bit of an amplitude's index; a qubit on
+    axis ``a`` of ``n`` is the middle axis of ``amps.reshape(2**a, 2, -1)``.
+    """
 
     def __init__(self, cap: int = 10):
         self.cap = cap
@@ -173,9 +194,6 @@ class QuantumState:
     @property
     def num_qubits(self) -> int:
         return len(self._axes)
-
-    def _tensor(self) -> np.ndarray:
-        return self.amps.reshape([2] * self.num_qubits) if self.num_qubits else self.amps
 
     def alloc(self) -> QubitValue:
         if self.num_qubits >= self.cap:
@@ -193,6 +211,9 @@ class QuantumState:
             raise InterpError(f"qubit handle {q.token} reused after being consumed")
         return self._axes[q.token]
 
+    def _view(self, axis: int) -> np.ndarray:
+        return self.amps.reshape(1 << axis, 2, -1)
+
     def _renew(self, q: QubitValue) -> QubitValue:
         # consume the old token, mint a fresh handle on the same axis
         axis = self._axes.pop(q.token)
@@ -202,12 +223,12 @@ class QuantumState:
         return QubitValue(token)
 
     def apply1(self, q: QubitValue, u: np.ndarray) -> QubitValue:
-        axis = self._axis(q)
-        if self.num_qubits == 1:
-            self.amps = u @ self.amps
+        v = self._view(self._axis(q))
+        # one matmul, batched over the shorter of the two outer axes
+        if v.shape[2] >= v.shape[0]:
+            self.amps = (u @ v).reshape(-1)
         else:
-            t = np.tensordot(u, self._tensor(), axes=([1], [axis]))
-            self.amps = np.moveaxis(t, 0, axis).reshape(-1)
+            self.amps = (v.transpose(2, 0, 1) @ u.T).transpose(1, 2, 0).reshape(-1)
         self._check_norm()
         return self._renew(q)
 
@@ -216,22 +237,20 @@ class QuantumState:
         a0, a1 = self._axis(q0), self._axis(q1)
         if a0 == a1:
             raise InterpError("two-qubit gate applied to one qubit twice")
-        n = self.num_qubits
-        t = self._tensor()
-        u = u4.reshape(2, 2, 2, 2)
-        t = np.tensordot(u, t, axes=([2, 3], [a0, a1]))
-        t = np.moveaxis(t, [0, 1], [a0, a1])
-        self.amps = t.reshape(-1)
+        if a0 > a1:
+            a0, a1 = a1, a0
+            u4 = u4[_SWAP_BITS][:, _SWAP_BITS]
+        left, mid = 1 << a0, 1 << (a1 - a0 - 1)
+        v = self.amps.reshape(left, 2, mid, 2, -1)
+        # the bit pair becomes the leading axis of length 4 for one 4x4 matmul
+        t = u4 @ v.transpose(1, 3, 0, 2, 4).reshape(4, -1)
+        self.amps = t.reshape(2, 2, left, mid, -1).transpose(2, 0, 3, 1, 4).reshape(-1)
         self._check_norm()
         return self._renew(q0), self._renew(q1)
 
     def probability_one(self, q: QubitValue) -> float:
-        axis = self._axis(q)
-        if self.num_qubits == 1:
-            return float(abs(self.amps[1]) ** 2)
-        t = self._tensor()
-        marginal = np.sum(np.abs(t) ** 2, axis=tuple(i for i in range(self.num_qubits) if i != axis))
-        return float(marginal[1])
+        ones = self._view(self._axis(q))[:, 1]
+        return float(np.vdot(ones, ones).real)
 
     def measure(self, q: QubitValue, source: OutcomeSource) -> tuple[QubitValue, bool]:
         axis = self._axis(q)
@@ -240,18 +259,15 @@ class QuantumState:
         p = p1 if outcome else 1.0 - p1
         if p < _PROB_TOL:
             raise ImpossibleOutcome(f"scripted outcome {outcome} has probability {p:.3g}")
-        t = self._tensor().copy()
-        idx = [slice(None)] * self.num_qubits
-        idx[axis] = 0 if outcome else 1
-        t[tuple(idx)] = 0.0
-        self.amps = (t / np.sqrt(p)).reshape(-1)
+        self.amps = self.amps / np.sqrt(p)
+        self._view(axis)[:, 0 if outcome else 1] = 0.0
         self._check_norm()
         return self._renew(q), outcome
 
     def free(self, q: QubitValue) -> None:
         axis = self._axis(q)
-        t = np.moveaxis(self._tensor(), axis, 0)
-        s0, s1 = t[0].reshape(-1), t[1].reshape(-1)
+        v = self._view(axis)
+        s0, s1 = v[:, 0].reshape(-1), v[:, 1].reshape(-1)
         n0, n1 = np.linalg.norm(s0), np.linalg.norm(s1)
         if n1 < _NORM_TOL:
             rest = s0
@@ -276,7 +292,7 @@ class QuantumState:
         if len(order) != self.num_qubits:
             raise InterpError("statevector order must list every live qubit")
         axes = [self._axis(q) for q in order]
-        return np.transpose(self._tensor(), axes).reshape(-1).copy()
+        return np.transpose(self.amps.reshape([2] * len(axes)), axes).reshape(-1).copy()
 
     def _check_norm(self) -> None:
         norm2 = float(np.vdot(self.amps, self.amps).real)
@@ -293,6 +309,119 @@ def _scalar(ty: Type, raw) -> RtValue:
     if ty == I64:
         return I64Value(int(raw))
     raise InterpError(f"constants of type {ty!r} are not supported")
+
+
+@dataclass(frozen=True)
+class _Schedule:
+    """One region, compiled.
+
+    Slots ``0 .. n_inputs-1`` hold the region's inputs; each step appends
+    its node's outputs after them. A step is ``(fn, arg, in_slots, n_out,
+    node)`` and runs as ``fn(interpreter, arg, inputs)``.
+    """
+
+    n_inputs: int
+    steps: tuple[tuple, ...]
+    outputs: tuple[int, ...]
+
+
+def _compile_region(h: Hugr, parent: int) -> _Schedule:
+    """Schedule the region's dataflow children: smallest ready id first."""
+    children = h.children(parent)
+    input_node, output_node = children[0], children[1]
+    n_inputs = len(value_signature(h.op(input_node)).outputs)
+    waiting: dict[int, int] = {}  # node -> value inputs not yet computed
+    for c in children[2:]:
+        if not isinstance(h.op(c), (FuncDef, FuncDecl, Const)):
+            waiting[c] = sum(1 for edges in h.node(c).in_edges for e in edges
+                             if isinstance(e.kind, Value))
+    ready = [c for c, k in waiting.items() if k == 0]
+    heapq.heapify(ready)
+
+    def feed(n: int, n_out: int) -> None:
+        for edges in h.node(n).out_edges[:n_out]:
+            for e in edges:
+                m = e.dst.node
+                if m in waiting:
+                    waiting[m] -= 1
+                    if waiting[m] == 0:
+                        heapq.heappush(ready, m)
+
+    base = {input_node: 0}  # node -> slot of its first output
+
+    def slots_of(n: int, count: int) -> tuple[int, ...]:
+        out = []
+        for i, edges in enumerate(h.node(n).in_edges[:count]):
+            if not edges or edges[0].src.node not in base:
+                raise InterpError(f"input {i} of node {n} has no value computed before it")
+            src = edges[0].src  # validated: exactly one
+            out.append(base[src.node] + src.offset)
+        return tuple(out)
+
+    feed(input_node, n_inputs)
+    steps = []
+    n_slots = n_inputs
+    while ready:
+        n = heapq.heappop(ready)
+        del waiting[n]
+        op = h.op(n)
+        sig = value_signature(op)
+        fn, arg = _step_fn(h, n, op, len(sig.inputs))
+        steps.append((fn, arg, slots_of(n, len(sig.inputs)), len(sig.outputs), n))
+        base[n] = n_slots
+        n_slots += len(sig.outputs)
+        feed(n, len(sig.outputs))
+    n_out = len(value_signature(h.op(output_node)).inputs)
+    return _Schedule(n_inputs, tuple(steps), slots_of(output_node, n_out))
+
+
+def _static_source(h: Hugr, n: int, offset: int) -> int:
+    return h.node(n).in_edges[offset][0].src.node
+
+
+def _step_fn(h: Hugr, n: int, op: OpKind, n_in: int) -> tuple:
+    """How the schedule runs node ``n``: a function and its fixed argument."""
+    if isinstance(op, ExtensionOp):
+        fn = _EXT_SEMANTICS.get((op.extension, op.name))
+        if fn is None:
+            raise InterpError(f"no evaluator semantics for {op.extension}.{op.name}")
+        return fn, op
+    if isinstance(op, Conditional):
+        return Interpreter._exec_conditional, tuple(h.children(n))
+    if isinstance(op, TailLoop):
+        return Interpreter._exec_tail_loop, n
+    if isinstance(op, Cfg):
+        blocks = h.children(n)
+        successors = {b: None if isinstance(h.op(b), ExitBlock) else _successors(h, b)
+                      for b in blocks}
+        return Interpreter._exec_cfg, (blocks[0], successors)
+    if isinstance(op, Call):
+        target = _static_source(h, n, n_in)
+        target_op = h.op(target)
+        if isinstance(target_op, FuncDef):
+            return Interpreter._exec_region, target
+        return Interpreter._call_stub, target_op.name
+    if isinstance(op, LoadFunction):
+        target = _static_source(h, n, 0)
+        return _load, FnValue(target, instantiate(op.scheme, op.type_args))
+    if isinstance(op, LoadConst):
+        const = h.op(_static_source(h, n, 0))
+        assert isinstance(const, Const)
+        return _load, _scalar(const.type, const.value)
+    raise InterpError(f"cannot execute op {op!r}")
+
+
+def _successors(h: Hugr, block: int) -> tuple[int, ...]:
+    out = []
+    for i, edges in enumerate(h.node(block).out_edges):
+        if not edges:
+            raise InterpError(f"successor {i} of block {block} is not connected")
+        out.append(edges[0].dst.node)
+    return tuple(out)
+
+
+def _load(interp: "Interpreter", value: RtValue, invals) -> list[RtValue]:
+    return [value]
 
 
 class Interpreter:
@@ -333,119 +462,56 @@ class Interpreter:
             raise InterpError(f"entry {entry!r} is polymorphic; instantiate it via a call site")
         if len(args) != len(sig.inputs):
             raise InterpError(f"{entry!r} takes {len(sig.inputs)} arguments, got {len(args)}")
-        return self._exec_region(node, list(args))
+        return self._exec_function(node, list(args))
+
+    def _exec_function(self, node: int, args: list[RtValue]) -> list[RtValue]:
+        try:
+            return self._exec_region(node, args)
+        except RecursionError:
+            # unbounded recursion through Call, e.g. a self-recursive FuncDef
+            raise NonTerminating(f"calls from function node {node} nest deeper "
+                                 "than the Python recursion limit") from None
 
     # region execution ------------------------------------------------
 
     def _exec_region(self, parent: int, args: list[RtValue]) -> list[RtValue]:
-        children = self.h.children(parent)
-        input_node, output_node = children[0], children[1]
-        values: dict[tuple[int, int], RtValue] = {}
-        for i, v in enumerate(args):
-            values[(input_node, i)] = v
+        sched = self.h.derived(_compile_region, parent)
+        if len(args) != sched.n_inputs:
+            raise InterpError(f"region {parent} takes {sched.n_inputs} values, got {len(args)}")
+        slots = list(args)
+        for fn, arg, ins, n_out, n in sched.steps:
+            outs = fn(self, arg, [slots[i] for i in ins])
+            if len(outs) != n_out:
+                raise InterpError(f"node {n} returned {len(outs)} values; "
+                                  f"its signature has {n_out}")
+            slots.extend(outs)
+        return [slots[i] for i in sched.outputs]
 
-        dataflow = [c for c in children[2:]
-                    if not isinstance(self.h.op(c), (FuncDef, FuncDecl, Const))]
-        indeg: dict[int, int] = {}
-        for c in dataflow:
-            nd = self.h.node(c)
-            indeg[c] = sum(1 for edges in nd.in_edges for e in edges
-                           if isinstance(e.kind, Value))
-        fed: dict[int, int] = {c: 0 for c in dataflow}
-        for i in range(len(args)):
-            for p in self.h.neighbours(Port(input_node, Direction.OUT, i)):
-                if p.node in fed:
-                    fed[p.node] += 1
+    def _exec_conditional(self, cases: tuple[int, ...], invals: list[RtValue]) -> list[RtValue]:
+        disc = invals[0]
+        assert isinstance(disc, EnumValue)
+        return self._exec_region(cases[disc.tag], invals[1:])
 
-        ready = [c for c in dataflow if fed[c] == indeg[c]]
-        heapq.heapify(ready)
-        done: set[int] = set()
-        while ready:
-            n = heapq.heappop(ready)
-            if n in done:
-                continue
-            done.add(n)
-            outs = self._exec_node(n, self._gather_inputs(n, values))
-            for i, v in enumerate(outs):
-                values[(n, i)] = v
-            for i in range(len(outs)):
-                for p in self.h.neighbours(Port(n, Direction.OUT, i)):
-                    if p.node in fed and p.node not in done:
-                        fed[p.node] += 1
-                        if fed[p.node] == indeg[p.node]:
-                            heapq.heappush(ready, p.node)
-        return self._gather_inputs(output_node, values)
+    def _exec_tail_loop(self, n: int, vals: list[RtValue]) -> list[RtValue]:
+        while True:
+            self._tick()
+            outs = self._exec_region(n, vals)
+            flag = outs[0]
+            assert isinstance(flag, EnumValue) and flag.cardinality == 2
+            if flag.tag == 1:  # finished
+                return outs[1:]
+            vals = outs[1:]
 
-    def _value_sig(self, n: int) -> Signature:
-        return value_signature(self.h.op(n))
-
-    def _gather_inputs(self, n: int, values) -> list[RtValue]:
-        nd = self.h.node(n)
-        n_in = len(value_signature(nd.op).inputs)
-        out: list[RtValue] = []
-        for i in range(n_in):
-            src = nd.in_edges[i][0].src  # validated: exactly one
-            out.append(values[(src.node, src.offset)])
-        return out
-
-    def _static_source(self, n: int, offset: int) -> int:
-        sources = self.h.neighbours(Port(n, Direction.IN, offset))
-        return sources[0].node
-
-    # node execution ----------------------------------------------------
-
-    def _exec_node(self, n: int, invals: list[RtValue]) -> list[RtValue]:
-        op = self.h.op(n)
-        if isinstance(op, ExtensionOp):
-            fn = _EXT_SEMANTICS.get((op.extension, op.name))
-            if fn is None:
-                raise InterpError(f"no evaluator semantics for {op.extension}.{op.name}")
-            return fn(self, op, invals)
-        if isinstance(op, Conditional):
-            disc = invals[0]
-            assert isinstance(disc, EnumValue)
-            case = self.h.children(n)[disc.tag]
-            return self._exec_region(case, invals[1:])
-        if isinstance(op, TailLoop):
-            vals = invals
-            while True:
-                self._tick()
-                outs = self._exec_region(n, vals)
-                flag = outs[0]
-                assert isinstance(flag, EnumValue) and flag.cardinality == 2
-                if flag.tag == 1:  # finished
-                    return outs[1:]
-                vals = outs[1:]
-        if isinstance(op, Cfg):
-            cur = self.h.children(n)[0]
-            vals = invals
-            while True:
-                cur_op = self.h.op(cur)
-                if isinstance(cur_op, ExitBlock):
-                    return vals
-                self._tick()
-                outs = self._exec_region(cur, vals)
-                tag = outs[0]
-                assert isinstance(tag, EnumValue)
-                succ = self.h.neighbours(Port(cur, Direction.OUT, tag.tag))
-                cur = succ[0].node
-                vals = outs[1:]
-        if isinstance(op, Call):
-            sig = self._value_sig(n)
-            target = self._static_source(n, len(sig.inputs))
-            target_op = self.h.op(target)
-            if isinstance(target_op, FuncDef):
-                return self._exec_region(target, invals)
-            return self._call_stub(target_op.name, invals)
-        if isinstance(op, LoadFunction):
-            target = self._static_source(n, 0)
-            return [FnValue(target, instantiate(op.scheme, op.type_args))]
-        if isinstance(op, LoadConst):
-            target = self._static_source(n, 0)
-            const = self.h.op(target)
-            assert isinstance(const, Const)
-            return [_scalar(const.type, const.value)]
-        raise InterpError(f"cannot execute op {op!r}")
+    def _exec_cfg(self, cfg: tuple, vals: list[RtValue]) -> list[RtValue]:
+        cur, successors = cfg  # entry block; block -> successors, None at the exit
+        while successors[cur] is not None:
+            self._tick()
+            outs = self._exec_region(cur, vals)
+            tag = outs[0]
+            assert isinstance(tag, EnumValue)
+            cur = successors[cur][tag.tag]
+            vals = outs[1:]
+        return vals
 
     def _call_stub(self, name: str, args: list[RtValue]) -> list[RtValue]:
         fn = self.stubs.get(name)
@@ -570,20 +636,23 @@ def run(h: Hugr, entry: str, args: list[RtValue], outcomes: OutcomeSource,
 
 
 def _contains_forbidden(h: Hugr, parent: int) -> str | None:
-    for n in h.preorder(parent):
-        op = h.op(n)
-        if isinstance(op, (Conditional, TailLoop, Cfg)):
-            return type(op).__name__
-        if isinstance(op, ExtensionOp) and (op.extension, op.name) == ("stdlib.quantum", "Measure"):
-            return "Measure"
-        if isinstance(op, Call):
-            sig_in = len(op.scheme.body.inputs)
-            # the callee body is reached through the static edge
-            targets = h.neighbours(Port(n, Direction.IN, sig_in))
-            if targets and isinstance(h.op(targets[0].node), FuncDef):
-                found = _contains_forbidden(h, targets[0].node)
-                if found:
-                    return found
+    todo, seen = [parent], {parent}
+    while todo:
+        for n in h.preorder(todo.pop()):
+            op = h.op(n)
+            if isinstance(op, (Conditional, TailLoop, Cfg)):
+                return type(op).__name__
+            if isinstance(op, ExtensionOp) and \
+                    (op.extension, op.name) == ("stdlib.quantum", "Measure"):
+                return "Measure"
+            if isinstance(op, Call):
+                sig_in = len(op.scheme.body.inputs)
+                # the callee body is reached through the static edge
+                targets = h.neighbours(Port(n, Direction.IN, sig_in))
+                if targets and isinstance(h.op(targets[0].node), FuncDef) \
+                        and targets[0].node not in seen:
+                    seen.add(targets[0].node)
+                    todo.append(targets[0].node)
     return None
 
 
@@ -625,8 +694,8 @@ def unitary_of(h: Hugr, entry: str, registry: Registry, check: bool = True) -> n
         for i in range(k):
             if (j >> (k - 1 - i)) & 1:
                 qubits[i] = interp.state.apply1(qubits[i], _X)
-        outs = interp._exec_region(node, list(qubits))
-        u[:, j] = interp.state.statevector([v for v in outs])
+        outs = interp._exec_function(node, qubits)
+        u[:, j] = interp.state.statevector(outs)
     if np.linalg.norm(u @ u.conj().T - np.eye(dim)) > 1e-9 * dim:
         raise InterpError("extracted matrix is not unitary")
     return u

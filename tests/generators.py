@@ -82,6 +82,17 @@ def random_circuit(rng: np.random.Generator, n_qubits: int = 4, n_gates: int = 3
     return m.hugr
 
 
+def self_recursive(registry: Registry | None = None) -> Hugr:
+    """``main`` applies H, then calls itself: valid, but it never returns."""
+    m = new_module(registry or stdlib())
+    b = m.define_function("main", Signature((QUBIT,), (QUBIT,)))
+    (q,) = b.inputs()
+    (q,) = b.q("H", q)
+    (q,) = b.call(b.container, q)
+    b.set_outputs(q)
+    return m.hugr
+
+
 # ── fault injection ────────────────────────────────────────────────
 
 FAULT_KINDS = ("duplicate_qubit_edge", "dangling_qubit_output", "type_mismatch")

@@ -2,10 +2,46 @@
 
 from __future__ import annotations
 
+import heapq
 from itertools import permutations
 
+import numpy as np
+
 from hugr_ir import Direction, Hugr, Port, Registry, Value
-from hugr_ir.ops import BasicBlock, Case, FuncDef, TailLoop
+from hugr_ir.interp import (
+    _EXT_SEMANTICS,
+    _NORM_TOL,
+    _PROB_TOL,
+    EnumValue,
+    FnValue,
+    ImpossibleOutcome,
+    InterpError,
+    NonTerminating,
+    OutcomeSource,
+    QubitCapExceeded,
+    QubitValue,
+    RtValue,
+    Seeded,
+    UnboundDecl,
+    _scalar,
+)
+from hugr_ir.ops import (
+    BasicBlock,
+    Call,
+    Case,
+    Cfg,
+    Conditional,
+    Const,
+    ExitBlock,
+    ExtensionOp,
+    FuncDecl,
+    FuncDef,
+    LoadConst,
+    LoadFunction,
+    TailLoop,
+    instantiate,
+    value_signature,
+)
 from hugr_ir.rewrite import (
     Match,
     MatchStats,
@@ -16,6 +52,7 @@ from hugr_ir.rewrite import (
     apply,
 )
 from hugr_ir.structure import CfgView
+from hugr_ir.types import Signature
 
 
 def naive_find_matches(pattern: Pattern, h: Hugr, region: int) -> set[frozenset]:
@@ -348,3 +385,296 @@ def removal_idom(view: CfgView) -> dict[int, int]:
                 idom[b] = d
                 break
     return idom
+
+
+# ── the evaluator before region schedules and reshape-view kernels ──
+#
+# ``NaiveQuantumState`` and ``NaiveInterpreter`` are the tensordot kernels and
+# the per-run ready-heap evaluator, kept verbatim apart from their names. The
+# evaluator derives its execution order afresh on every region execution.
+
+
+class NaiveQuantumState:
+    """Dense statevector over the currently live qubits."""
+
+    def __init__(self, cap: int = 10):
+        self.cap = cap
+        self.amps = np.ones(1, dtype=complex)
+        self._axes: dict[int, int] = {}  # token -> tensor axis
+        self._next_token = 0
+
+    @property
+    def num_qubits(self) -> int:
+        return len(self._axes)
+
+    def _tensor(self) -> np.ndarray:
+        return self.amps.reshape([2] * self.num_qubits) if self.num_qubits else self.amps
+
+    def alloc(self) -> QubitValue:
+        if self.num_qubits >= self.cap:
+            raise QubitCapExceeded(f"qubit cap {self.cap} exceeded")
+        token = self._next_token
+        self._next_token += 1
+        new = np.zeros(2 * self.amps.size, dtype=complex)
+        new[0::2] = self.amps  # fresh qubit in |0> as the last axis
+        self.amps = new
+        self._axes[token] = self.num_qubits
+        return QubitValue(token)
+
+    def _axis(self, q: QubitValue) -> int:
+        if q.token not in self._axes:
+            raise InterpError(f"qubit handle {q.token} reused after being consumed")
+        return self._axes[q.token]
+
+    def _renew(self, q: QubitValue) -> QubitValue:
+        # consume the old token, mint a fresh handle on the same axis
+        axis = self._axes.pop(q.token)
+        token = self._next_token
+        self._next_token += 1
+        self._axes[token] = axis
+        return QubitValue(token)
+
+    def apply1(self, q: QubitValue, u: np.ndarray) -> QubitValue:
+        axis = self._axis(q)
+        if self.num_qubits == 1:
+            self.amps = u @ self.amps
+        else:
+            t = np.tensordot(u, self._tensor(), axes=([1], [axis]))
+            self.amps = np.moveaxis(t, 0, axis).reshape(-1)
+        self._check_norm()
+        return self._renew(q)
+
+    def apply2(self, q0: QubitValue, q1: QubitValue, u4: np.ndarray
+               ) -> tuple[QubitValue, QubitValue]:
+        a0, a1 = self._axis(q0), self._axis(q1)
+        if a0 == a1:
+            raise InterpError("two-qubit gate applied to one qubit twice")
+        n = self.num_qubits
+        t = self._tensor()
+        u = u4.reshape(2, 2, 2, 2)
+        t = np.tensordot(u, t, axes=([2, 3], [a0, a1]))
+        t = np.moveaxis(t, [0, 1], [a0, a1])
+        self.amps = t.reshape(-1)
+        self._check_norm()
+        return self._renew(q0), self._renew(q1)
+
+    def probability_one(self, q: QubitValue) -> float:
+        axis = self._axis(q)
+        if self.num_qubits == 1:
+            return float(abs(self.amps[1]) ** 2)
+        t = self._tensor()
+        marginal = np.sum(np.abs(t) ** 2, axis=tuple(i for i in range(self.num_qubits) if i != axis))
+        return float(marginal[1])
+
+    def measure(self, q: QubitValue, source: OutcomeSource) -> tuple[QubitValue, bool]:
+        axis = self._axis(q)
+        p1 = self.probability_one(q)
+        outcome = source.next_outcome(p1)
+        p = p1 if outcome else 1.0 - p1
+        if p < _PROB_TOL:
+            raise ImpossibleOutcome(f"scripted outcome {outcome} has probability {p:.3g}")
+        t = self._tensor().copy()
+        idx = [slice(None)] * self.num_qubits
+        idx[axis] = 0 if outcome else 1
+        t[tuple(idx)] = 0.0
+        self.amps = (t / np.sqrt(p)).reshape(-1)
+        self._check_norm()
+        return self._renew(q), outcome
+
+    def free(self, q: QubitValue) -> None:
+        axis = self._axis(q)
+        t = np.moveaxis(self._tensor(), axis, 0)
+        s0, s1 = t[0].reshape(-1), t[1].reshape(-1)
+        n0, n1 = np.linalg.norm(s0), np.linalg.norm(s1)
+        if n1 < _NORM_TOL:
+            rest = s0
+        elif n0 < _NORM_TOL:
+            rest = s1
+        else:
+            # separable iff the two slices are proportional
+            overlap = abs(np.vdot(s0, s1)) / (n0 * n1)
+            if abs(overlap - 1.0) > 1e-7:
+                raise InterpError("cannot free an entangled qubit")
+            rest = s0
+        rest = rest / np.linalg.norm(rest)
+        del self._axes[q.token]
+        for tok, ax in self._axes.items():
+            if ax > axis:
+                self._axes[tok] = ax - 1
+        self.amps = rest
+        self._check_norm()
+
+    def statevector(self, order: list[QubitValue]) -> np.ndarray:
+        """Amplitudes with axes permuted so ``order[0]`` is the most significant."""
+        if len(order) != self.num_qubits:
+            raise InterpError("statevector order must list every live qubit")
+        axes = [self._axis(q) for q in order]
+        return np.transpose(self._tensor(), axes).reshape(-1).copy()
+
+    def _check_norm(self) -> None:
+        norm2 = float(np.vdot(self.amps, self.amps).real)
+        assert abs(norm2 - 1.0) < 2 * _NORM_TOL, f"statevector norm drifted to {norm2 ** 0.5}"
+
+
+class NaiveInterpreter:
+    """One evaluator instance; not shared between threads."""
+
+    def __init__(self, h: Hugr, registry: Registry,
+                 outcomes: OutcomeSource | None = None,
+                 stubs: dict | None = None,
+                 qubit_cap: int = 10,
+                 iteration_cap: int = 100_000):
+        self.h = h
+        self.registry = registry
+        self.outcomes = outcomes if outcomes is not None else Seeded(0)
+        self.stubs = stubs or {}
+        self.qubit_cap = qubit_cap
+        self.iteration_cap = iteration_cap
+        self.state = NaiveQuantumState(qubit_cap)
+        self._iterations = 0
+
+    def reset(self) -> None:
+        self.state = NaiveQuantumState(self.qubit_cap)
+        self._iterations = 0
+
+    def find_function(self, name: str) -> int:
+        for c in self.h.children(self.h.root):
+            op = self.h.op(c)
+            if isinstance(op, (FuncDef, FuncDecl)) and op.name == name:
+                return c
+        raise InterpError(f"no function named {name!r}")
+
+    def run(self, entry: str, args: list[RtValue]) -> list[RtValue]:
+        node = self.find_function(entry)
+        op = self.h.op(node)
+        if isinstance(op, FuncDecl):
+            return self._call_stub(op.name, args)
+        sig = op.scheme.body
+        if op.scheme.param_count:
+            raise InterpError(f"entry {entry!r} is polymorphic; instantiate it via a call site")
+        if len(args) != len(sig.inputs):
+            raise InterpError(f"{entry!r} takes {len(sig.inputs)} arguments, got {len(args)}")
+        return self._exec_region(node, list(args))
+
+    # region execution ------------------------------------------------
+
+    def _exec_region(self, parent: int, args: list[RtValue]) -> list[RtValue]:
+        children = self.h.children(parent)
+        input_node, output_node = children[0], children[1]
+        values: dict[tuple[int, int], RtValue] = {}
+        for i, v in enumerate(args):
+            values[(input_node, i)] = v
+
+        dataflow = [c for c in children[2:]
+                    if not isinstance(self.h.op(c), (FuncDef, FuncDecl, Const))]
+        indeg: dict[int, int] = {}
+        for c in dataflow:
+            nd = self.h.node(c)
+            indeg[c] = sum(1 for edges in nd.in_edges for e in edges
+                           if isinstance(e.kind, Value))
+        fed: dict[int, int] = {c: 0 for c in dataflow}
+        for i in range(len(args)):
+            for p in self.h.neighbours(Port(input_node, Direction.OUT, i)):
+                if p.node in fed:
+                    fed[p.node] += 1
+
+        ready = [c for c in dataflow if fed[c] == indeg[c]]
+        heapq.heapify(ready)
+        done: set[int] = set()
+        while ready:
+            n = heapq.heappop(ready)
+            if n in done:
+                continue
+            done.add(n)
+            outs = self._exec_node(n, self._gather_inputs(n, values))
+            for i, v in enumerate(outs):
+                values[(n, i)] = v
+            for i in range(len(outs)):
+                for p in self.h.neighbours(Port(n, Direction.OUT, i)):
+                    if p.node in fed and p.node not in done:
+                        fed[p.node] += 1
+                        if fed[p.node] == indeg[p.node]:
+                            heapq.heappush(ready, p.node)
+        return self._gather_inputs(output_node, values)
+
+    def _value_sig(self, n: int) -> Signature:
+        return value_signature(self.h.op(n))
+
+    def _gather_inputs(self, n: int, values) -> list[RtValue]:
+        nd = self.h.node(n)
+        n_in = len(value_signature(nd.op).inputs)
+        out: list[RtValue] = []
+        for i in range(n_in):
+            src = nd.in_edges[i][0].src  # validated: exactly one
+            out.append(values[(src.node, src.offset)])
+        return out
+
+    def _static_source(self, n: int, offset: int) -> int:
+        sources = self.h.neighbours(Port(n, Direction.IN, offset))
+        return sources[0].node
+
+    # node execution ----------------------------------------------------
+
+    def _exec_node(self, n: int, invals: list[RtValue]) -> list[RtValue]:
+        op = self.h.op(n)
+        if isinstance(op, ExtensionOp):
+            fn = _EXT_SEMANTICS.get((op.extension, op.name))
+            if fn is None:
+                raise InterpError(f"no evaluator semantics for {op.extension}.{op.name}")
+            return fn(self, op, invals)
+        if isinstance(op, Conditional):
+            disc = invals[0]
+            assert isinstance(disc, EnumValue)
+            case = self.h.children(n)[disc.tag]
+            return self._exec_region(case, invals[1:])
+        if isinstance(op, TailLoop):
+            vals = invals
+            while True:
+                self._tick()
+                outs = self._exec_region(n, vals)
+                flag = outs[0]
+                assert isinstance(flag, EnumValue) and flag.cardinality == 2
+                if flag.tag == 1:  # finished
+                    return outs[1:]
+                vals = outs[1:]
+        if isinstance(op, Cfg):
+            cur = self.h.children(n)[0]
+            vals = invals
+            while True:
+                cur_op = self.h.op(cur)
+                if isinstance(cur_op, ExitBlock):
+                    return vals
+                self._tick()
+                outs = self._exec_region(cur, vals)
+                tag = outs[0]
+                assert isinstance(tag, EnumValue)
+                succ = self.h.neighbours(Port(cur, Direction.OUT, tag.tag))
+                cur = succ[0].node
+                vals = outs[1:]
+        if isinstance(op, Call):
+            sig = self._value_sig(n)
+            target = self._static_source(n, len(sig.inputs))
+            target_op = self.h.op(target)
+            if isinstance(target_op, FuncDef):
+                return self._exec_region(target, invals)
+            return self._call_stub(target_op.name, invals)
+        if isinstance(op, LoadFunction):
+            target = self._static_source(n, 0)
+            return [FnValue(target, instantiate(op.scheme, op.type_args))]
+        if isinstance(op, LoadConst):
+            target = self._static_source(n, 0)
+            const = self.h.op(target)
+            assert isinstance(const, Const)
+            return [_scalar(const.type, const.value)]
+        raise InterpError(f"cannot execute op {op!r}")
+
+    def _call_stub(self, name: str, args: list[RtValue]) -> list[RtValue]:
+        fn = self.stubs.get(name)
+        if fn is None:
+            raise UnboundDecl(f"declaration {name!r} has no bound implementation")
+        return list(fn(self, args))
+
+    def _tick(self) -> None:
+        self._iterations += 1
+        if self._iterations > self.iteration_cap:
+            raise NonTerminating(f"iteration cap {self.iteration_cap} exceeded")

@@ -12,7 +12,7 @@ from hugr_ir.programs import all_programs, rus_cfg, rus_loop
 from hugr_ir.rules import hh_cancel, rz_merge
 from hugr_ir.serial import encode_rule
 
-from generators import chain_circuit
+from generators import chain_circuit, self_recursive
 
 
 @pytest.fixture()
@@ -204,6 +204,13 @@ def test_run_script_exhaustion_reports(programs, capsys):
     assert main(["run", programs["rus_loop"], "--entry", "main",
                  "--outcomes", "0,0"]) == 1
     assert "ScriptExhausted" in capsys.readouterr().err
+
+
+def test_run_self_recursive_function_reports(registry, tmp_path, capsys):
+    path = tmp_path / "recursive.hugr.json"
+    path.write_text(encode(self_recursive(registry)))
+    assert main(["run", str(path), "--entry", "main", "--outcomes", ""]) == 1
+    assert capsys.readouterr().err.startswith("NonTerminating: ")
 
 
 def test_roundtrip_fixtures(programs, capsys):

@@ -30,11 +30,12 @@ from hugr_ir.programs import (
     external_call,
     measurement_branch,
     rotation_pipeline,
+    rus_cfg,
     rus_loop,
 )
 from hugr_ir.types import BOOL, F64, QUBIT, Signature
 
-from generators import chain_circuit, random_circuit
+from generators import chain_circuit, random_circuit, self_recursive
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -151,6 +152,10 @@ class TestUnitaryExtraction:
         with pytest.raises(InterpError):
             unitary_of(h, "main", registry)
 
+    def test_self_recursive_function_is_non_terminating(self, registry):
+        with pytest.raises(NonTerminating):
+            unitary_of(self_recursive(registry), "main", registry)
+
     def test_qubit_ordering_is_most_significant_first(self, registry):
         # X on the first of two qubits flips the high bit
         m = new_module(registry)
@@ -240,6 +245,34 @@ class TestErrors:
         it = Interpreter(m.hugr, registry, Scripted([]), iteration_cap=50)
         with pytest.raises(NonTerminating):
             it.run("main", [F64Value(1.0)])
+
+    def test_self_recursive_function_is_non_terminating(self, registry):
+        from hugr_ir import validate
+
+        h = self_recursive(registry)
+        assert validate(h, registry) == []
+        it = Interpreter(h, registry, Scripted([]))
+        with pytest.raises(NonTerminating):
+            it.run("main", [it.state.alloc()])
+
+    @pytest.mark.parametrize("returned", [[], [bool_value(True), bool_value(False)]])
+    def test_stub_result_count_is_checked(self, registry, returned):
+        h = external_call(registry)
+        it = Interpreter(h, registry, Scripted([]),
+                         stubs={"foo": lambda interp, args: returned})
+        q0, q1 = it.state.alloc(), it.state.alloc()
+        with pytest.raises(InterpError, match="returned"):
+            it.run("main", [q0, q1])
+
+    def test_unconnected_cfg_successor(self, registry):
+        from hugr_ir.ops import BasicBlock
+
+        h = rus_cfg(registry)
+        block = next(n for n in h.preorder() if isinstance(h.op(n), BasicBlock))
+        h.disconnect(h.node(block).out_edges[0][0])
+        it = Interpreter(h, registry, Scripted([False, True]))
+        with pytest.raises(InterpError, match="not connected"):
+            it.run("main", [it.state.alloc()])
 
     def test_default_iteration_cap(self, registry):
         it = Interpreter(chain_circuit([], registry), stdlib(), Scripted([]))
