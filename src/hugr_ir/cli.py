@@ -84,7 +84,7 @@ def cmd_structure(args) -> int:
     return OK
 
 
-def _parse_args(text, registry):
+def _parse_args(text):
     """Comma-separated classical arguments; qubits are allocated in |0>."""
     return [s for s in (text or "").split(",") if s != ""]
 
@@ -128,7 +128,7 @@ def cmd_run(args) -> int:
         return USAGE
     sig = h.op(entry_node).scheme.body
 
-    raw = _parse_args(args.args, registry)
+    raw = _parse_args(args.args)
     values = []
     pos = 0
     for t in sig.inputs:

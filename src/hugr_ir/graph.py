@@ -128,10 +128,6 @@ class Hugr:
     def children(self, node: int) -> list[int]:
         return list(self.node(node).children)
 
-    def region_nodes(self, parent: int) -> list[int]:
-        """Direct children only, in order."""
-        return self.children(parent)
-
     def preorder(self, start: int | None = None) -> list[int]:
         """Hierarchy preorder following children order."""
         order: list[int] = []
@@ -310,11 +306,8 @@ class Hugr:
 
     # ── integrity ──────────────────────────────────────────────────
 
-    def check_tree(self) -> None:
-        """Full hierarchy audit: a tree, parent links consistent, no orphans."""
-        self._assert_tree()
-
     def _assert_tree(self) -> None:
+        """Full hierarchy audit: a tree, parent links consistent, no orphans."""
         seen: set[int] = set()
         stack = [self.root]
         while stack:

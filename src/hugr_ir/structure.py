@@ -1,12 +1,18 @@
 """Convert CFG nodes into structured conditionals and tail loops.
 
-The algorithm is iterative T1/T2 region folding. Each basic block becomes a
-fragment computing ``row -> successor tag + row``; T1 folds a self-loop into
-a tail loop (a tag subset means "repeat"), T2 inlines a block into its unique
-predecessor behind a conditional dispatch. A reducible graph collapses to a
-single fragment whose remaining exits all target the exit block; the fragment
-is then materialised in place of the CFG node. Irreducible inputs (a cycle
-with more than one entry) are rejected without touching the graph.
+The algorithm is iterative T1/T2 region folding (Hecht & Ullman, *Flow Graph
+Reducibility*, 1972). Each basic block becomes a fragment computing
+``row -> successor tag + row``; T1 folds a self-loop into a tail loop (a tag
+subset means "repeat"), T2 inlines a block into its unique predecessor behind
+a conditional dispatch. A reducible graph collapses to a single fragment whose
+remaining exits all target the exit block; the fragment is then materialised
+in place of the CFG node. Irreducible inputs (a cycle with more than one
+entry) are rejected without touching the graph.
+
+The fold order decides the fragment tree, and so the output bytes: while any
+supernode has a self-loop, T1 folds the lowest such id; otherwise T2 merges
+the lowest non-entry id with exactly one predecessor. The entry is never
+merged away.
 
 Blocks must be row-preserving (inputs equal the passed row) whenever any
 dispatch or loop needs to be built, because the payload-free successor tags
@@ -16,6 +22,8 @@ are inlined without that restriction.
 
 from __future__ import annotations
 
+import heapq
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -38,7 +46,8 @@ class InvalidInput(StructuringError):
 
 
 class UnsupportedCfg(StructuringError):
-    """Valid but outside the supported shape (non-row-preserving blocks)."""
+    """Valid but outside the supported shape (non-row-preserving blocks, or
+    control flow nested too deep to build)."""
 
 
 # ── CFG view ───────────────────────────────────────────────────────
@@ -82,25 +91,33 @@ class CfgView:
         return cls(blocks, entry, exit_, succ)
 
 
-def dominators(view: CfgView) -> dict[int, int]:
-    """Immediate dominators; the entry maps to itself."""
-    preds: dict[int, list[int]] = {b: [] for b in view.blocks}
+def _predecessors(view: CfgView) -> dict[int, set[int]]:
+    """Distinct predecessors of every block; the exit block has none listed."""
+    preds: dict[int, set[int]] = {b: set() for b in view.succ}
     for b, succs in view.succ.items():
         for s in succs:
             if s != view.exit:
-                preds[s].append(b)
-    # reverse postorder
+                preds[s].add(b)
+    return preds
+
+
+def dominators(view: CfgView) -> dict[int, int]:
+    """Immediate dominators; the entry maps to itself."""
+    preds = _predecessors(view)
+    # reverse postorder of a depth-first walk taking successors in tag order
     order: list[int] = []
-    seen: set[int] = set()
-
-    def dfs(b: int) -> None:
-        seen.add(b)
-        for s in view.succ.get(b, []):
+    seen = {view.entry}
+    stack = [(view.entry, iter(view.succ[view.entry]))]
+    while stack:
+        b, succs = stack[-1]
+        for s in succs:
             if s != view.exit and s not in seen:
-                dfs(s)
-        order.append(b)
-
-    dfs(view.entry)
+                seen.add(s)
+                stack.append((s, iter(view.succ[s])))
+                break
+        else:
+            stack.pop()
+            order.append(b)
     rpo = list(reversed(order))
     position = {b: i for i, b in enumerate(rpo)}
 
@@ -152,6 +169,7 @@ def loop_candidates(view: CfgView) -> list[LoopCandidate]:
                 return False
             b = idom[b]
 
+    preds = _predecessors(view)
     loops: dict[int, LoopCandidate] = {}
     for b, succs in view.succ.items():
         for s in succs:
@@ -165,40 +183,13 @@ def loop_candidates(view: CfgView) -> list[LoopCandidate]:
                     if n in cand.body:
                         continue
                     cand.body.add(n)
-                    for p, ps in view.succ.items():
-                        if n in ps:
-                            stack.append(p)
+                    stack.extend(preds[n])
     return [loops[k] for k in sorted(loops)]
 
 
 def is_reducible(view: CfgView) -> bool:
     """True iff iterative T1/T2 reduction collapses the graph to one node."""
-    succ = {b: [s for s in ss] for b, ss in view.succ.items()}
-    changed = True
-    while changed:
-        changed = False
-        for b in sorted(succ):
-            if b in succ[b]:  # T1
-                succ[b] = [s for s in succ[b] if s != b]
-                changed = True
-        for s in sorted(succ):
-            if s == view.entry:
-                continue
-            preds = {p for p in succ if s in succ[p]}
-            if len(preds) == 1:  # T2
-                (p,) = preds
-                merged: list[int] = []
-                for t in succ[p]:
-                    if t == s:
-                        merged.extend(succ[s])
-                    else:
-                        merged.append(t)
-                # dedup, order-preserving
-                succ[p] = list(dict.fromkeys(merged))
-                del succ[s]
-                changed = True
-                break
-    return len(succ) == 1
+    return len(_fold(view)[0]) == 1
 
 
 # ── fragments ──────────────────────────────────────────────────────
@@ -242,131 +233,155 @@ Frag = _Block | _Seq | _Loop
 class _SuperNode:
     frag: Frag
     succs: list[int]  # block ids; the exit block id marks leaving the CFG
+    # nesting depth of the conditionals and loops ``_emit`` builds for ``frag``;
+    # nonzero iff materialising dispatches on a tag
+    depth: int = 0
 
 
-def _reduce(view: CfgView) -> Frag:
-    nodes: dict[int, _SuperNode] = {
-        b: _SuperNode(_Block(b, len(view.succ[b])), list(view.succ[b]))
-        for b in view.succ
-    }
-    exit_ = view.exit
+def _fold(view: CfgView) -> tuple[dict[int, _SuperNode], UnsupportedCfg | None]:
+    """Apply T1 and T2 until neither applies, in the order the module states.
 
-    def fold_self_loops() -> bool:
-        for sid in sorted(nodes):
-            sn = nodes[sid]
-            repeat = frozenset(j for j, t in enumerate(sn.succs) if t == sid)
-            if not repeat:
-                continue
-            remaining = [t for j, t in enumerate(sn.succs) if j not in repeat]
-            targets = list(dict.fromkeys(remaining))
-            if not targets:
-                raise UnsupportedCfg(f"block {sid} loops forever with no exit")
-            retag = []
-            for j, t in enumerate(sn.succs):
-                retag.append(None if j in repeat else targets.index(t))
-            sn.frag = _Loop(sn.frag, repeat, tuple(retag), len(targets))
-            sn.succs = targets
-            return True
-        return False
-
-    def merge_unique_pred() -> bool:
-        for sid in sorted(nodes):
-            if sid == view.entry:
-                continue
-            preds = {p for p, pn in nodes.items() if sid in pn.succs}
-            if len(preds) != 1 or sid in preds:
-                continue
-            (pid,) = preds
-            p, s = nodes[pid], nodes[sid]
-            merged: list[int] = []
-            for t in p.succs:
-                if t == sid:
-                    merged.extend(s.succs)
-                else:
-                    merged.append(t)
-            targets = list(dict.fromkeys(merged))
-            cases: list = []
-            for t in p.succs:
-                if t == sid:
-                    cases.append(_Run(s.frag, tuple(targets.index(x) for x in s.succs)))
-                else:
-                    cases.append(_Exit(targets.index(t)))
-            p.frag = _Seq(p.frag, tuple(cases), len(targets))
-            p.succs = targets
-            del nodes[sid]
-            return True
-        return False
-
+    Returns the leftover supernodes and the error for the first self-loop
+    folded with no way out, if any; folding goes on past it so that
+    ``is_reducible`` sees the whole reduction. Predecessor sets are kept up to
+    date fold by fold, and two lazy min-heaps hold the ids that may have
+    become T1 or T2 candidates since they were last looked at.
+    """
+    nodes = {b: _SuperNode(_Block(b, len(ss)), list(ss)) for b, ss in view.succ.items()}
+    preds = _predecessors(view)
+    loops = [b for b in nodes if b in preds[b]]
+    unique = [b for b in nodes if len(preds[b]) == 1]
+    heapq.heapify(loops)
+    heapq.heapify(unique)
+    exitless: UnsupportedCfg | None = None
     while True:
-        if fold_self_loops():
+        while loops and (loops[0] not in nodes or loops[0] not in preds[loops[0]]):
+            heapq.heappop(loops)
+        if loops:  # T1
+            sid = heapq.heappop(loops)
+            sn = nodes[sid]
+            targets = list(dict.fromkeys(t for t in sn.succs if t != sid))
+            if not targets and exitless is None:
+                exitless = UnsupportedCfg(f"block {sid} loops forever with no exit")
+            index = {t: i for i, t in enumerate(targets)}
+            repeat = frozenset(j for j, t in enumerate(sn.succs) if t == sid)
+            retag = tuple(None if t == sid else index[t] for t in sn.succs)
+            sn.frag = _Loop(sn.frag, repeat, retag, len(targets))
+            sn.succs = targets
+            sn.depth = 1 + max(sn.depth, 1)  # the body and the exit conditional
+            preds[sid].discard(sid)
+            heapq.heappush(unique, sid)
             continue
-        if merge_unique_pred():
-            continue
-        break
+        while unique and (unique[0] not in nodes or unique[0] == view.entry
+                          or len(preds[unique[0]]) != 1):
+            heapq.heappop(unique)
+        if not unique:
+            return nodes, exitless
+        sid = heapq.heappop(unique)  # T2: no self-loop is left anywhere
+        (pid,) = preds.pop(sid)
+        p, s = nodes[pid], nodes.pop(sid)
+        merged: list[int] = []
+        for t in p.succs:
+            if t == sid:
+                merged.extend(s.succs)
+            else:
+                merged.append(t)
+        targets = list(dict.fromkeys(merged))
+        index = {t: i for i, t in enumerate(targets)}
+        run = _Run(s.frag, tuple(index[x] for x in s.succs))
+        if len(p.succs) > 1:  # a dispatch; each case retags in a conditional
+            p.depth = max(p.depth, 1 + max(s.depth, 1))
+        elif run.retag != tuple(range(len(targets))):
+            p.depth = max(p.depth, s.depth, 1)
+        else:
+            p.depth = max(p.depth, s.depth)
+        p.frag = _Seq(p.frag, tuple(run if t == sid else _Exit(index[t]) for t in p.succs),
+                      len(targets))
+        p.succs = targets
+        for t in dict.fromkeys(s.succs):
+            if t != view.exit:
+                preds[t].discard(sid)
+                preds[t].add(pid)
+                heapq.heappush(unique, t)
+        heapq.heappush(loops, pid)
+        heapq.heappush(unique, pid)
 
-    if len(nodes) != 1 or set(nodes[view.entry].succs) != {exit_}:
+
+def _reduce(view: CfgView) -> _SuperNode:
+    nodes, exitless = _fold(view)
+    if exitless is not None:
+        raise exitless
+    if len(nodes) != 1 or set(nodes[view.entry].succs) != {view.exit}:
         raise IrreducibleCfg(
             "control flow is irreducible (a cycle with multiple entries)")
-    return nodes[view.entry].frag
+    return nodes[view.entry]
 
 
 # ── materialisation ────────────────────────────────────────────────
 
 def _emit(frag: Frag, b: DfBuilder, src: Hugr, wires, row: tuple[Type, ...]):
-    """Build ``frag`` into builder ``b``; returns (tag wire, value wires)."""
-    if isinstance(frag, _Block):
-        outs = splice_region(b, src, frag.block, tuple(wires))
-        return outs[0], tuple(outs[1:])
+    """Build ``frag`` into builder ``b``; returns (tag wire, value wires).
 
-    if isinstance(frag, _Seq):
-        tag, vals = _emit(frag.first, b, src, wires, row)
-        if frag.first.arity == 1:
-            # no dispatch needed: run the single continuation in sequence
-            case = frag.cases[0]
-            if isinstance(case, _Exit):
-                return b.tag_const(case.tag, frag.arity), vals
-            t2, vals2 = _emit(case.frag, b, src, vals, row)
-            if case.retag == tuple(range(frag.arity)):
-                return t2, vals2
-            tag, vals = t2, vals2
-            remap, cases = b.conditional(tag, vals, (EnumType(frag.arity),) + row)
-            for jj, icb in enumerate(cases):
-                icb.set_outputs(icb.tag_const(case.retag[jj], frag.arity), *icb.inputs())
-            return remap[0], tuple(remap[1:])
-        out_row = (EnumType(frag.arity),) + row
-        cond_outs, cases = b.conditional(tag, vals, out_row)
-        for j, case in enumerate(frag.cases):
-            cb = cases[j]
-            ins = cb.inputs()
-            if isinstance(case, _Exit):
-                cb.set_outputs(cb.tag_const(case.tag, frag.arity), *ins)
-            else:
-                t2, vals2 = _emit(case.frag, cb, src, ins, row)
-                inner_outs, inner_cases = cb.conditional(t2, vals2, out_row)
-                for jj, icb in enumerate(inner_cases):
-                    icb.set_outputs(icb.tag_const(case.retag[jj], frag.arity),
-                                    *icb.inputs())
-                cb.set_outputs(*inner_outs)
-        return cond_outs[0], tuple(cond_outs[1:])
+    Fragments that run one after another in ``b`` are taken from a stack;
+    only conditional cases and loop bodies recurse, so the recursion is as
+    deep as the fold-time ``depth`` at most.
+    """
+    tag, vals = None, tuple(wires)
+    todo: list = [frag]
+    while todo:
+        f = todo.pop()
+        if isinstance(f, _Block):
+            outs = splice_region(b, src, f.block, vals)
+            tag, vals = outs[0], tuple(outs[1:])
+        elif isinstance(f, _Seq):
+            if f.first.arity > 1:
+                todo.append(("dispatch", f))
+            else:  # first's one successor was the merged block: run it next
+                (case,) = f.cases
+                if case.retag != tuple(range(f.arity)):
+                    todo.append(("retag", case.retag, f.arity))
+                todo.append(case.frag)
+            todo.append(f.first)
+        elif isinstance(f, _Loop):
+            seed = b.tag_const(0, f.arity)
+            loop_outs, body = b.tail_loop((seed,) + vals)
+            ins = body.inputs()  # (previous tag, row...); the tag is discarded
+            t2, vals2 = _emit(f.body, body, src, ins[1:], row)
+            out_row = (BOOL, EnumType(f.arity)) + row
+            cond_outs, cases = body.conditional(t2, vals2, out_row)
+            for j, cb in enumerate(cases):
+                cins = cb.inputs()
+                if j in f.repeat:
+                    cb.set_outputs(cb.bool_const(False), cb.tag_const(0, f.arity), *cins)
+                else:
+                    cb.set_outputs(cb.bool_const(True),
+                                   cb.tag_const(f.retag[j], f.arity), *cins)
+            body.set_outputs(*cond_outs)
+            tag, vals = loop_outs[0], tuple(loop_outs[1:])
+        elif f[0] == "retag":
+            tag, vals = _retag(b, tag, vals, f[1], f[2], row)
+        else:  # dispatch on the tag of the _Seq's first fragment
+            seq = f[1]
+            cond_outs, cases = b.conditional(tag, vals, (EnumType(seq.arity),) + row)
+            for case, cb in zip(seq.cases, cases):
+                ins = cb.inputs()
+                if isinstance(case, _Exit):
+                    cb.set_outputs(cb.tag_const(case.tag, seq.arity), *ins)
+                else:
+                    t2, vals2 = _emit(case.frag, cb, src, ins, row)
+                    t2, vals2 = _retag(cb, t2, vals2, case.retag, seq.arity, row)
+                    cb.set_outputs(t2, *vals2)
+            tag, vals = cond_outs[0], tuple(cond_outs[1:])
+    return tag, vals
 
-    if isinstance(frag, _Loop):
-        seed = b.tag_const(0, frag.arity)
-        loop_outs, body = b.tail_loop((seed,) + tuple(wires))
-        ins = body.inputs()  # (previous tag, row...); the tag is discarded
-        tag, vals = _emit(frag.body, body, src, ins[1:], row)
-        out_row = (BOOL, EnumType(frag.arity)) + row
-        cond_outs, cases = body.conditional(tag, vals, out_row)
-        for j, cb in enumerate(cases):
-            cins = cb.inputs()
-            if j in frag.repeat:
-                cb.set_outputs(cb.bool_const(False), cb.tag_const(0, frag.arity), *cins)
-            else:
-                cb.set_outputs(cb.bool_const(True),
-                               cb.tag_const(frag.retag[j], frag.arity), *cins)
-        body.set_outputs(*cond_outs)
-        return loop_outs[0], tuple(loop_outs[1:])
 
-    raise AssertionError(frag)
+def _retag(b: DfBuilder, tag, vals, retag: tuple[int, ...], arity: int,
+           row: tuple[Type, ...]):
+    """Map tag ``j`` to ``retag[j]`` of ``arity`` through a conditional."""
+    outs, cases = b.conditional(tag, vals, (EnumType(arity),) + row)
+    for j, cb in enumerate(cases):
+        cb.set_outputs(cb.tag_const(retag[j], arity), *cb.inputs())
+    return outs[0], tuple(outs[1:])
 
 
 def _sweep_dead_consts(h: Hugr, region: int) -> None:
@@ -382,22 +397,6 @@ def _sweep_dead_consts(h: Hugr, region: int) -> None:
                     changed = True
 
 
-def _needs_dispatch(frag: Frag) -> bool:
-    """True when materialising builds a conditional or a loop."""
-    if isinstance(frag, _Block):
-        return False
-    if isinstance(frag, _Loop):
-        return True
-    if frag.first.arity > 1 or _needs_dispatch(frag.first):
-        return True
-    case = frag.cases[0]
-    if isinstance(case, _Exit):
-        return False
-    if case.retag != tuple(range(frag.arity)):
-        return True
-    return _needs_dispatch(case.frag)
-
-
 def structure_cfg(h: Hugr, cfg: int, registry: Registry) -> Hugr:
     """Replace ``cfg`` in place by an equivalent structured subgraph."""
     from .validate import validate
@@ -411,9 +410,9 @@ def structure_cfg(h: Hugr, cfg: int, registry: Registry) -> Hugr:
         raise InvalidInput(f"CFG does not validate: {bad[0].render()}")
 
     view = CfgView.of(h, cfg)
-    frag = _reduce(view)
+    folded = _reduce(view)
     row = op.signature.inputs
-    if _needs_dispatch(frag):
+    if folded.depth:
         # payload-free successor tags force one common value row at dispatches
         if op.signature.outputs != row:
             raise UnsupportedCfg("branching CFGs must preserve their value row")
@@ -422,6 +421,11 @@ def structure_cfg(h: Hugr, cfg: int, registry: Registry) -> Hugr:
             if rows != (row, row):
                 raise UnsupportedCfg(
                     f"block {b} is not row-preserving: {rows[0]} -> {rows[1]}")
+    # _emit recurses once per nesting level at most; keep clear of the limit
+    limit = sys.getrecursionlimit() // 2
+    if folded.depth > limit:
+        raise UnsupportedCfg(
+            f"control flow nests {folded.depth} deep, over the limit of {limit}")
 
     parent = h.parent(cfg)
     builder = DfBuilder.attach(h, parent, registry)
@@ -430,7 +434,7 @@ def structure_cfg(h: Hugr, cfg: int, registry: Registry) -> Hugr:
     consumers = [list(h.neighbours(out_port(cfg, i)))
                  for i in range(len(op.signature.outputs))]
 
-    _, out_wires = _emit(frag, builder, h, in_wires, row)
+    _, out_wires = _emit(folded.frag, builder, h, in_wires, row)
 
     h.remove_node(cfg)
     for i, wire in enumerate(out_wires):

@@ -208,6 +208,34 @@ def random_reducible_cfg(rng: np.random.Generator, max_blocks: int = 8,
     return m.hugr
 
 
+def successor_cfg(succs: list[list[int]], registry: Registry,
+                  order: list[int] | None = None) -> Hugr:
+    """A one-qubit CFG whose block ``i`` branches to ``succs[i]`` (-1 is the exit).
+
+    Block 0 is the entry. ``order`` lists the blocks in the order they get
+    node ids, entry first; by default it is the list order. Block ``i``
+    applies one gate picked by ``i`` and always takes its tag 0, so a run
+    follows the first successors and is deterministic.
+    """
+    m = new_module(registry)
+    b = m.define_function("main", Signature((QUBIT,), (QUBIT,)))
+    (q,) = b.inputs()
+    (out,), cb = b.cfg((q,), (QUBIT,))
+    node_of: dict[int, int] = {}
+    for i in order or range(len(succs)):
+        node, body = cb.add_block((QUBIT,), len(succs[i]), (QUBIT,))
+        (bq,) = body.inputs()
+        (bq,) = body.q(ONE_QUBIT_GATES[i % len(ONE_QUBIT_GATES)], bq)
+        body.set_outputs(body.tag_const(0, len(succs[i])), bq)
+        node_of[i] = node
+    exit_node = cb.add_exit((QUBIT,))
+    for i, targets in enumerate(succs):
+        for tag, target in enumerate(targets):
+            cb.link(node_of[i], tag, exit_node if target == -1 else node_of[target])
+    b.set_outputs(out)
+    return m.hugr
+
+
 # ── commutation rules for the performance smoke test ───────────────
 
 def perf_setup(n_ops: int = 15, n_rules: int = 100, n_gates: int = 1000,

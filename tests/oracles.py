@@ -51,8 +51,26 @@ from hugr_ir.rewrite import (
     _op_matches,
     apply,
 )
-from hugr_ir.structure import CfgView
-from hugr_ir.types import Signature
+from hugr_ir.build import DfBuilder, splice_region
+from hugr_ir.graph import in_port, out_port
+from hugr_ir.structure import (
+    CfgView,
+    Frag,
+    InvalidInput,
+    IrreducibleCfg,
+    StructuringError,
+    UnsupportedCfg,
+    _Block,
+    _block_rows,
+    _depth,
+    _Exit,
+    _Loop,
+    _Run,
+    _Seq,
+    _SuperNode,
+    _sweep_dead_consts,
+)
+from hugr_ir.types import BOOL, EnumType, Signature, Type
 
 
 def naive_find_matches(pattern: Pattern, h: Hugr, region: int) -> set[frozenset]:
@@ -385,6 +403,242 @@ def removal_idom(view: CfgView) -> dict[int, int]:
                 idom[b] = d
                 break
     return idom
+
+
+# ── structuring before the incremental fold ────────────────────────
+#
+# ``naive_is_reducible``, ``naive_reduce``, ``_naive_needs_dispatch``,
+# ``_naive_emit`` and ``naive_structure_cfg`` / ``naive_structure_all`` are the
+# two full-rescan T1/T2 loops and the recursive emission, kept verbatim apart
+# from their names. Each fold rescans every supernode's predecessors.
+
+
+def naive_is_reducible(view: CfgView) -> bool:
+    """True iff iterative T1/T2 reduction collapses the graph to one node."""
+    succ = {b: [s for s in ss] for b, ss in view.succ.items()}
+    changed = True
+    while changed:
+        changed = False
+        for b in sorted(succ):
+            if b in succ[b]:  # T1
+                succ[b] = [s for s in succ[b] if s != b]
+                changed = True
+        for s in sorted(succ):
+            if s == view.entry:
+                continue
+            preds = {p for p in succ if s in succ[p]}
+            if len(preds) == 1:  # T2
+                (p,) = preds
+                merged: list[int] = []
+                for t in succ[p]:
+                    if t == s:
+                        merged.extend(succ[s])
+                    else:
+                        merged.append(t)
+                # dedup, order-preserving
+                succ[p] = list(dict.fromkeys(merged))
+                del succ[s]
+                changed = True
+                break
+    return len(succ) == 1
+
+
+def naive_reduce(view: CfgView) -> Frag:
+    nodes: dict[int, _SuperNode] = {
+        b: _SuperNode(_Block(b, len(view.succ[b])), list(view.succ[b]))
+        for b in view.succ
+    }
+    exit_ = view.exit
+
+    def fold_self_loops() -> bool:
+        for sid in sorted(nodes):
+            sn = nodes[sid]
+            repeat = frozenset(j for j, t in enumerate(sn.succs) if t == sid)
+            if not repeat:
+                continue
+            remaining = [t for j, t in enumerate(sn.succs) if j not in repeat]
+            targets = list(dict.fromkeys(remaining))
+            if not targets:
+                raise UnsupportedCfg(f"block {sid} loops forever with no exit")
+            retag = []
+            for j, t in enumerate(sn.succs):
+                retag.append(None if j in repeat else targets.index(t))
+            sn.frag = _Loop(sn.frag, repeat, tuple(retag), len(targets))
+            sn.succs = targets
+            return True
+        return False
+
+    def merge_unique_pred() -> bool:
+        for sid in sorted(nodes):
+            if sid == view.entry:
+                continue
+            preds = {p for p, pn in nodes.items() if sid in pn.succs}
+            if len(preds) != 1 or sid in preds:
+                continue
+            (pid,) = preds
+            p, s = nodes[pid], nodes[sid]
+            merged: list[int] = []
+            for t in p.succs:
+                if t == sid:
+                    merged.extend(s.succs)
+                else:
+                    merged.append(t)
+            targets = list(dict.fromkeys(merged))
+            cases: list = []
+            for t in p.succs:
+                if t == sid:
+                    cases.append(_Run(s.frag, tuple(targets.index(x) for x in s.succs)))
+                else:
+                    cases.append(_Exit(targets.index(t)))
+            p.frag = _Seq(p.frag, tuple(cases), len(targets))
+            p.succs = targets
+            del nodes[sid]
+            return True
+        return False
+
+    while True:
+        if fold_self_loops():
+            continue
+        if merge_unique_pred():
+            continue
+        break
+
+    if len(nodes) != 1 or set(nodes[view.entry].succs) != {exit_}:
+        raise IrreducibleCfg(
+            "control flow is irreducible (a cycle with multiple entries)")
+    return nodes[view.entry].frag
+
+
+def _naive_emit(frag: Frag, b: DfBuilder, src: Hugr, wires, row: tuple[Type, ...]):
+    """Build ``frag`` into builder ``b``; returns (tag wire, value wires)."""
+    if isinstance(frag, _Block):
+        outs = splice_region(b, src, frag.block, tuple(wires))
+        return outs[0], tuple(outs[1:])
+
+    if isinstance(frag, _Seq):
+        tag, vals = _naive_emit(frag.first, b, src, wires, row)
+        if frag.first.arity == 1:
+            # no dispatch needed: run the single continuation in sequence
+            case = frag.cases[0]
+            if isinstance(case, _Exit):
+                return b.tag_const(case.tag, frag.arity), vals
+            t2, vals2 = _naive_emit(case.frag, b, src, vals, row)
+            if case.retag == tuple(range(frag.arity)):
+                return t2, vals2
+            tag, vals = t2, vals2
+            remap, cases = b.conditional(tag, vals, (EnumType(frag.arity),) + row)
+            for jj, icb in enumerate(cases):
+                icb.set_outputs(icb.tag_const(case.retag[jj], frag.arity), *icb.inputs())
+            return remap[0], tuple(remap[1:])
+        out_row = (EnumType(frag.arity),) + row
+        cond_outs, cases = b.conditional(tag, vals, out_row)
+        for j, case in enumerate(frag.cases):
+            cb = cases[j]
+            ins = cb.inputs()
+            if isinstance(case, _Exit):
+                cb.set_outputs(cb.tag_const(case.tag, frag.arity), *ins)
+            else:
+                t2, vals2 = _naive_emit(case.frag, cb, src, ins, row)
+                inner_outs, inner_cases = cb.conditional(t2, vals2, out_row)
+                for jj, icb in enumerate(inner_cases):
+                    icb.set_outputs(icb.tag_const(case.retag[jj], frag.arity),
+                                    *icb.inputs())
+                cb.set_outputs(*inner_outs)
+        return cond_outs[0], tuple(cond_outs[1:])
+
+    if isinstance(frag, _Loop):
+        seed = b.tag_const(0, frag.arity)
+        loop_outs, body = b.tail_loop((seed,) + tuple(wires))
+        ins = body.inputs()  # (previous tag, row...); the tag is discarded
+        tag, vals = _naive_emit(frag.body, body, src, ins[1:], row)
+        out_row = (BOOL, EnumType(frag.arity)) + row
+        cond_outs, cases = body.conditional(tag, vals, out_row)
+        for j, cb in enumerate(cases):
+            cins = cb.inputs()
+            if j in frag.repeat:
+                cb.set_outputs(cb.bool_const(False), cb.tag_const(0, frag.arity), *cins)
+            else:
+                cb.set_outputs(cb.bool_const(True),
+                               cb.tag_const(frag.retag[j], frag.arity), *cins)
+        body.set_outputs(*cond_outs)
+        return loop_outs[0], tuple(loop_outs[1:])
+
+    raise AssertionError(frag)
+
+
+def _naive_needs_dispatch(frag: Frag) -> bool:
+    """True when materialising builds a conditional or a loop."""
+    if isinstance(frag, _Block):
+        return False
+    if isinstance(frag, _Loop):
+        return True
+    if frag.first.arity > 1 or _naive_needs_dispatch(frag.first):
+        return True
+    case = frag.cases[0]
+    if isinstance(case, _Exit):
+        return False
+    if case.retag != tuple(range(frag.arity)):
+        return True
+    return _naive_needs_dispatch(case.frag)
+
+
+def naive_structure_cfg(h: Hugr, cfg: int, registry: Registry) -> Hugr:
+    """Replace ``cfg`` in place by an equivalent structured subgraph."""
+    from hugr_ir.validate import validate
+
+    op = h.op(cfg)
+    if not isinstance(op, Cfg):
+        raise InvalidInput(f"node {cfg} is not a CFG")
+    inside = set(h.preorder(cfg))
+    bad = [d for d in validate(h, registry) if d.node in inside]
+    if bad:
+        raise InvalidInput(f"CFG does not validate: {bad[0].render()}")
+
+    view = CfgView.of(h, cfg)
+    frag = naive_reduce(view)
+    row = op.signature.inputs
+    if _naive_needs_dispatch(frag):
+        # payload-free successor tags force one common value row at dispatches
+        if op.signature.outputs != row:
+            raise UnsupportedCfg("branching CFGs must preserve their value row")
+        for b in view.succ:
+            rows = _block_rows(h, b)
+            if rows != (row, row):
+                raise UnsupportedCfg(
+                    f"block {b} is not row-preserving: {rows[0]} -> {rows[1]}")
+
+    parent = h.parent(cfg)
+    builder = DfBuilder.attach(h, parent, registry)
+    in_wires = tuple(h.neighbours(in_port(cfg, i))[0]
+                     for i in range(len(op.signature.inputs)))
+    consumers = [list(h.neighbours(out_port(cfg, i)))
+                 for i in range(len(op.signature.outputs))]
+
+    _, out_wires = _naive_emit(frag, builder, h, in_wires, row)
+
+    h.remove_node(cfg)
+    for i, wire in enumerate(out_wires):
+        for dst in consumers[i]:
+            builder.connect(wire, dst)
+    _sweep_dead_consts(h, parent)
+
+    from hugr_ir.validate import validate_region
+
+    diags = validate_region(h, parent, registry)
+    if diags:
+        raise StructuringError(f"structuring produced an invalid region: {diags[0].render()}")
+    return h
+
+
+def naive_structure_all(h: Hugr, registry: Registry) -> Hugr:
+    """Structure every CFG node, innermost first."""
+    while True:
+        cfgs = [n for n in h.preorder() if isinstance(h.op(n), Cfg)]
+        if not cfgs:
+            return h
+        # innermost last in preorder within a branch; process deepest first
+        deepest = max(cfgs, key=lambda n: _depth(h, n))
+        naive_structure_cfg(h, deepest, registry)
 
 
 # ── the evaluator before region schedules and reshape-view kernels ──

@@ -12,7 +12,7 @@ from hugr_ir.programs import all_programs, rus_cfg, rus_loop
 from hugr_ir.rules import hh_cancel, rz_merge
 from hugr_ir.serial import encode_rule
 
-from generators import chain_circuit, self_recursive
+from generators import chain_circuit, self_recursive, successor_cfg
 
 
 @pytest.fixture()
@@ -170,6 +170,28 @@ def test_structure_irreducible_reports_and_writes_nothing(registry, tmp_path, ca
     out_path = tmp_path / "out.hugr.json"
     assert main(["structure", str(src), "-o", str(out_path)]) == 1
     assert "IrreducibleCfg" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+def test_structure_long_chain(registry, tmp_path, capsys):
+    n = 2000
+    src = tmp_path / "chain.hugr.json"
+    src.write_text(encode(successor_cfg([[i + 1] for i in range(n - 1)] + [[-1]], registry)))
+    out_path = tmp_path / "out.hugr.json"
+    assert main(["structure", str(src), "-o", str(out_path)]) == 0
+    assert "CFG" not in [n["op"]["kind"] for n in json.loads(out_path.read_text())["nodes"]]
+
+
+def test_structure_too_deep_reports_and_writes_nothing(registry, tmp_path, capsys):
+    k = 600  # nested while loops
+    src = tmp_path / "deep.hugr.json"
+    src.write_text(encode(successor_cfg([[i + 1, i - 1] for i in range(k)] + [[k - 1]],
+                                        registry)))
+    out_path = tmp_path / "out.hugr.json"
+    assert main(["structure", str(src), "-o", str(out_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("UnsupportedCfg: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
     assert not out_path.exists()
 
 

@@ -41,7 +41,7 @@ def test_children_keep_insertion_order():
     f = h.add_node(FuncDef("main", PolySignature(0, Signature((BOOL,), (BOOL,)))), h.root)
     cond = h.add_node(Conditional(3, (), ()), f)
     cases = [h.add_node(Case(), cond) for _ in range(3)]
-    assert h.region_nodes(cond) == cases
+    assert h.children(cond) == cases
 
 
 def test_add_node_unknown_parent():
@@ -198,11 +198,11 @@ def test_hierarchy_stays_a_tree_through_mutations(registry):
     from hugr_ir.ops import Conditional
 
     h = measurement_branch(registry)
-    h.check_tree()
+    h._assert_tree()
     cond = next(n for n in h.preorder() if isinstance(h.op(n), Conditional))
     removed = h.remove_node(cond)
-    h.check_tree()
+    h._assert_tree()
     h.restore(removed)
-    h.check_tree()
+    h._assert_tree()
     assert not any(h.is_ancestor(c, h.parent(c)) for c in h.preorder()
                    if h.parent(c) is not None)

@@ -1,5 +1,7 @@
 """Dominators, reducibility, and CFG-to-structured conversion."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,9 @@ from hugr_ir.programs import rotation_pipeline, rus_cfg, rus_loop
 from hugr_ir.structure import (
     CfgView,
     IrreducibleCfg,
+    StructuringError,
     UnsupportedCfg,
+    _reduce,
     dominators,
     is_reducible,
     loop_candidates,
@@ -29,8 +33,14 @@ from hugr_ir.structure import (
 )
 from hugr_ir.types import QUBIT, Signature
 
-from generators import main_region, random_reducible_cfg
-from oracles import removal_idom
+from generators import main_region, random_reducible_cfg, successor_cfg
+from oracles import (
+    _naive_needs_dispatch,
+    naive_is_reducible,
+    naive_reduce,
+    naive_structure_all,
+    removal_idom,
+)
 
 
 def _cfg_node(h):
@@ -94,6 +104,18 @@ class TestDominators:
             h = random_reducible_cfg(rng, max_blocks=8, registry=registry)
             view = CfgView.of(h, _cfg_node(h))
             assert dominators(view) == removal_idom(view)
+
+    def test_long_chain_and_cycle(self):
+        # deeper than the recursion limit; block ids run against the flow
+        n = 2000
+        succ = {b: [b - 1] for b in range(1, n)}
+        succ[0] = [n]
+        view = CfgView(blocks=list(range(n - 1, -1, -1)), entry=n - 1, exit=n, succ=succ)
+        assert dominators(view) == {b: min(b + 1, n - 1) for b in range(n)}
+        succ[0] = [n - 1, n]
+        (loop,) = loop_candidates(view)
+        assert loop.header == n - 1 and loop.back_edges == [(0, n - 1)]
+        assert loop.body == set(range(n))
 
     def test_loop_candidates_on_the_rus_cfg(self, registry):
         h = rus_cfg(registry)
@@ -289,3 +311,92 @@ class TestStructureCfg:
         with pytest.warns(UserWarning):
             structure_cfg(h, _cfg_node(h), registry)
         assert validate(h, registry) == []
+
+
+def _outcome(reduce, view):
+    """The fragment repr, or the error class and message, of a reduction."""
+    try:
+        return repr(reduce(view))
+    except StructuringError as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestFoldAgainstOldCode:
+    """The incremental fold against the full-rescan loops kept in oracles.py."""
+
+    def test_structure_all_bytes_on_random_grammar_cfgs(self, registry):
+        rng = np.random.default_rng(53)
+        sizes = set()
+        for _ in range(200):
+            h = random_reducible_cfg(rng, max_blocks=int(rng.integers(1, 31)),
+                                     registry=registry)
+            sizes.add(len(CfgView.of(h, _cfg_node(h)).blocks))
+            want = encode(naive_structure_all(h.copy(), registry))
+            assert encode(structure_all(h, registry)) == want
+        assert min(sizes) == 1 and max(sizes) >= 25
+
+    def test_verdicts_and_errors_on_random_successor_maps(self):
+        rng = np.random.default_rng(59)
+        kinds = Counter()
+        for _ in range(2500):
+            n = int(rng.integers(1, 9))
+            ids = [int(x) for x in rng.permutation(3 * n)[:n + 1]]
+            blocks, exit_ = ids[:n], ids[n]
+            targets = blocks + [exit_]
+            succ = {b: [targets[int(t)] for t in
+                        rng.integers(0, n + 1, size=int(rng.choice(4, p=[0.05, 0.45, 0.3, 0.2])))]
+                    for b in blocks}
+            view = CfgView(blocks=blocks, entry=blocks[0], exit=exit_, succ=succ)
+            assert is_reducible(view) == naive_is_reducible(view), succ
+            got = _outcome(lambda v: _reduce(v).frag, view)
+            assert got == _outcome(naive_reduce, view), succ
+            kinds[got[0] if isinstance(got, tuple) else "folded"] += 1
+            if not isinstance(got, tuple):
+                assert bool(_reduce(view).depth) == _naive_needs_dispatch(naive_reduce(view))
+        assert min(kinds[k] for k in ("folded", "IrreducibleCfg", "UnsupportedCfg")) >= 100
+
+
+def _check_against_cfg(structured, original, registry):
+    assert validate(structured, registry) == []
+    assert not [n for n in structured.preorder() if isinstance(structured.op(n), Cfg)]
+    got = _run_qubit_program(structured, [], registry)
+    want = _run_qubit_program(original, [], registry)
+    assert got[0] == want[0]
+    assert state_fidelity(got[1], want[1]) >= 1 - 1e-9
+
+
+class TestScale:
+    """CFGs far deeper than Python's recursion limit in blocks or in nesting."""
+
+    @pytest.mark.parametrize("descending", [False, True])
+    def test_chain_of_2000_blocks(self, registry, descending):
+        n = 2000
+        order = [0] + list(range(n - 1, 0, -1)) if descending else None
+        original = successor_cfg([[i + 1] for i in range(n - 1)] + [[-1]], registry, order)
+        structured = structure_all(original.copy(), registry)
+        assert not [n for n in structured.preorder()
+                    if isinstance(structured.op(n), (Conditional, TailLoop))]
+        _check_against_cfg(structured, original, registry)
+
+    @pytest.mark.parametrize("descending", [False, True])
+    def test_chain_of_1000_double_branches(self, registry, descending):
+        n = 1000
+        order = [0] + list(range(n - 1, 0, -1)) if descending else None
+        original = successor_cfg([[i + 1, i + 1] for i in range(n - 1)] + [[-1, -1]],
+                                 registry, order)
+        h = original.copy()
+        try:
+            structure_all(h, registry)
+        except UnsupportedCfg:
+            assert encode(h) == encode(original)
+        else:
+            _check_against_cfg(h, original, registry)
+
+    def test_too_deep_nesting_fails_before_touching_the_graph(self, registry):
+        # 600 nested while loops: header i runs header i + 1 or leaves to i - 1
+        k = 600
+        h = successor_cfg([[i + 1, i - 1] for i in range(k)] + [[k - 1]], registry)
+        reference = encode(h)
+        with pytest.raises(UnsupportedCfg, match="nests"):
+            structure_cfg(h, _cfg_node(h), registry)
+        assert encode(h) == reference
