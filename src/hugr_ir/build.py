@@ -32,7 +32,6 @@ from .ops import (
     TailLoop,
     Value,
     ext_op,
-    port_rows,
     value_signature,
 )
 from .types import EnumType, PolySignature, Signature, Type
@@ -145,10 +144,11 @@ class DfBuilder:
     # ── functions ──────────────────────────────────────────────────
 
     def _static_source(self, func_node: int) -> tuple[Port, PolySignature]:
-        op = self.hugr.op(func_node)
+        nd = self.hugr.node(func_node)
+        op = nd.op
         if not isinstance(op, (FuncDef, FuncDecl)):
             raise BuildError(f"node {func_node} is not a function")
-        ins, outs = port_rows(op)
+        _, outs = nd.rows
         offset = next(i for i, k in enumerate(outs) if isinstance(k, Static))
         return out_port(func_node, offset), op.scheme
 

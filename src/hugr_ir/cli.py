@@ -12,7 +12,7 @@ import sys
 
 from . import interp, rewrite, serial, structure
 from .ops import Registry, register, stdlib
-from .types import BOOL, EnumType, ExtType, F64, I64
+from .types import EnumType, F64, I64, QUBIT
 from .validate import validate
 
 OK, REPORTED, USAGE = 0, 1, 2
@@ -132,7 +132,7 @@ def cmd_run(args) -> int:
     values = []
     pos = 0
     for t in sig.inputs:
-        if isinstance(t, ExtType) and t.name == "qubit":
+        if t == QUBIT:
             values.append(it.state.alloc())
             continue
         if pos >= len(raw):

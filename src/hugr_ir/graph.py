@@ -74,9 +74,13 @@ class Node:
     # one edge list per port, in insertion order
     in_edges: list[list[Edge]] = field(default_factory=list)
     out_edges: list[list[Edge]] = field(default_factory=list)
+    # (incoming, outgoing) port kinds of ``op``, computed once per node
+    rows: tuple[tuple[PortKind, ...], tuple[PortKind, ...]] = ()
 
     def __post_init__(self) -> None:
-        ins, outs = port_rows(self.op)
+        if not self.rows:
+            self.rows = port_rows(self.op)
+        ins, outs = self.rows
         if not self.in_edges:
             self.in_edges = [[] for _ in ins]
         if not self.out_edges:
@@ -99,7 +103,6 @@ class Hugr:
 
         self._nodes: dict[int, Node] = {}
         self._next_id = 0
-        self._edge_keys: set[tuple[Port, Port, PortKind]] = set()
         self.version = 0  # bumped by every mutation
         self._derived: dict = {}
         self._derived_version = 0
@@ -147,15 +150,9 @@ class Hugr:
             cur = self._nodes[cur].parent
         return False
 
-    def child_index(self, node: int) -> int:
-        p = self.parent(node)
-        if p is None:
-            raise GraphError("root has no siblings")
-        return self._nodes[p].children.index(node)
-
     def port_kind(self, port: Port) -> PortKind:
         node = self.node(port.node)
-        ins, outs = port_rows(node.op)
+        ins, outs = node.rows
         row = ins if port.direction is Direction.IN else outs
         if not 0 <= port.offset < len(row):
             raise GraphError(f"port {port!r} out of range for {node.op!r}")
@@ -221,24 +218,27 @@ class Hugr:
             raise GraphError(f"edge must run outgoing -> incoming, got {src!r} -> {dst!r}")
         self.port_kind(src)
         self.port_kind(dst)
-        key = (src, dst, kind)
-        if key in self._edge_keys:
-            raise GraphError(f"duplicate edge {src!r} -> {dst!r}")
         edge = Edge(src, dst, kind)
+        if self.has_edge(edge):
+            raise GraphError(f"duplicate edge {src!r} -> {dst!r}")
         self._nodes[src.node].out_edges[src.offset].append(edge)
         self._nodes[dst.node].in_edges[dst.offset].append(edge)
-        self._edge_keys.add(key)
         self.version += 1
         return edge
 
     def has_edge(self, edge: Edge) -> bool:
-        return (edge.src, edge.dst, edge.kind) in self._edge_keys
+        """True iff an edge equal to ``edge`` is recorded; scans the shorter
+        of its two port edge lists."""
+        try:
+            outs = self._nodes[edge.src.node].out_edges[edge.src.offset]
+            ins = self._nodes[edge.dst.node].in_edges[edge.dst.offset]
+        except (KeyError, IndexError):
+            return False
+        return edge in (ins if len(ins) <= len(outs) else outs)
 
     def disconnect(self, edge: Edge) -> None:
-        key = (edge.src, edge.dst, edge.kind)
-        if key not in self._edge_keys:
+        if not self.has_edge(edge):
             raise GraphError(f"no such edge {edge.src!r} -> {edge.dst!r}")
-        self._edge_keys.remove(key)
         self._nodes[edge.src.node].out_edges[edge.src.offset].remove(edge)
         self._nodes[edge.dst.node].in_edges[edge.dst.offset].remove(edge)
         self.version += 1
@@ -255,14 +255,13 @@ class Hugr:
         inside = set(subtree)
 
         removed_edges: list[Edge] = []
-        seen: set[tuple[Port, Port, PortKind]] = set()
+        seen: set[int] = set()  # an edge inside the subtree is listed at both ends
         for n in subtree:
             nd = self._nodes[n]
             for edges in nd.in_edges + nd.out_edges:
-                for e in list(edges):
-                    key = (e.src, e.dst, e.kind)
-                    if key not in seen:
-                        seen.add(key)
+                for e in edges:
+                    if id(e) not in seen:
+                        seen.add(id(e))
                         removed_edges.append(e)
         for e in removed_edges:
             self.disconnect(e)
@@ -324,16 +323,14 @@ class Hugr:
         h = Hugr.__new__(Hugr)
         h._nodes = {}
         h._next_id = self._next_id
-        h._edge_keys = set(self._edge_keys)
         h.version = 0
         h._derived = {}
         h._derived_version = 0
         h.root = self.root
         for nid, nd in self._nodes.items():
-            copy = Node(nd.id, nd.parent, nd.op, list(nd.children))
-            copy.in_edges = [list(es) for es in nd.in_edges]
-            copy.out_edges = [list(es) for es in nd.out_edges]
-            h._nodes[nid] = copy
+            h._nodes[nid] = Node(nd.id, nd.parent, nd.op, list(nd.children),
+                                 [list(es) for es in nd.in_edges],
+                                 [list(es) for es in nd.out_edges], nd.rows)
         return h
 
 

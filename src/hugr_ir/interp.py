@@ -50,7 +50,7 @@ from .ops import (
     instantiate,
     value_signature,
 )
-from .types import EnumType, ExtType, F64, I64, Signature, Type
+from .types import EnumType, F64, I64, QUBIT, Signature, Type
 
 
 class InterpError(Exception):
@@ -621,16 +621,19 @@ _EXT_SEMANTICS = {
 
 # ── entry points ───────────────────────────────────────────────────
 
+def _require_valid(h: Hugr, registry: Registry) -> None:
+    from .validate import validate
+
+    diags = validate(h, registry)
+    if diags:
+        raise InterpError(f"graph is invalid: {diags[0].render()}")
+
+
 def run(h: Hugr, entry: str, args: list[RtValue], outcomes: OutcomeSource,
         registry: Registry, stubs: dict | None = None, qubit_cap: int = 10,
-        iteration_cap: int = 100_000, check: bool = True) -> list[RtValue]:
-    """Execute a validated graph's ``entry`` function."""
-    if check:
-        from .validate import validate
-
-        diags = validate(h, registry)
-        if diags:
-            raise InterpError(f"graph is invalid: {diags[0].render()}")
+        iteration_cap: int = 100_000) -> list[RtValue]:
+    """Validate the graph, then execute its ``entry`` function."""
+    _require_valid(h, registry)
     interp = Interpreter(h, registry, outcomes, stubs, qubit_cap, iteration_cap)
     return interp.run(entry, args)
 
@@ -656,28 +659,19 @@ def _contains_forbidden(h: Hugr, parent: int) -> str | None:
     return None
 
 
-def unitary_of(h: Hugr, entry: str, registry: Registry, check: bool = True) -> np.ndarray:
+def unitary_of(h: Hugr, entry: str, registry: Registry) -> np.ndarray:
     """The unitary matrix of a measurement-free, all-qubit function.
 
-    Assembled by running every computational basis state; the first input
-    qubit is the most significant bit. Limited to 5 qubits.
+    Validates the graph first. Assembled by running every computational basis
+    state; the first input qubit is the most significant bit. Limited to 5
+    qubits.
     """
-    if check:
-        from .validate import validate
-
-        diags = validate(h, registry)
-        if diags:
-            raise InterpError(f"graph is invalid: {diags[0].render()}")
-    node = None
-    for c in h.children(h.root):
-        op = h.op(c)
-        if isinstance(op, FuncDef) and op.name == entry:
-            node = c
-            break
-    if node is None:
+    _require_valid(h, registry)
+    node = Interpreter(h, registry).find_function(entry)
+    if not isinstance(h.op(node), FuncDef):
         raise InterpError(f"no function definition named {entry!r}")
     sig = h.op(node).scheme.body
-    if any(not _is_qubit(t) for t in sig.inputs) or any(not _is_qubit(t) for t in sig.outputs):
+    if any(t != QUBIT for t in sig.inputs + sig.outputs):
         raise InterpError("unitary extraction needs an all-qubit signature")
     k = len(sig.inputs)
     if k > 5 or k != len(sig.outputs):
@@ -699,10 +693,6 @@ def unitary_of(h: Hugr, entry: str, registry: Registry, check: bool = True) -> n
     if np.linalg.norm(u @ u.conj().T - np.eye(dim)) > 1e-9 * dim:
         raise InterpError("extracted matrix is not unitary")
     return u
-
-
-def _is_qubit(t: Type) -> bool:
-    return isinstance(t, ExtType) and (t.extension, t.name) == ("stdlib.quantum", "qubit")
 
 
 def state_fidelity(a: np.ndarray, b: np.ndarray) -> float:

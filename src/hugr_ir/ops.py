@@ -10,7 +10,6 @@ reference; validation cross-checks the two.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 from .types import (
@@ -188,7 +187,6 @@ class ControlFlow(PortKind):
     """Control-flow successor link between basic blocks."""
 
 
-@functools.lru_cache(maxsize=None)
 def value_signature(op: OpKind) -> Signature:
     """The dataflow (value-port) signature an op presents to its region.
 
@@ -220,7 +218,6 @@ def value_signature(op: OpKind) -> Signature:
     raise OpError(f"unknown op kind {op!r}")
 
 
-@functools.lru_cache(maxsize=None)
 def port_rows(op: OpKind) -> tuple[tuple[PortKind, ...], tuple[PortKind, ...]]:
     """Full (incoming, outgoing) port rows: value ports, then static, then flow."""
     sig = value_signature(op)
@@ -285,6 +282,9 @@ class Registry:
             if e.id in self._extensions:
                 raise OpError(f"extension {e.id!r} already registered")
             self._extensions[e.id] = e
+        # validation's problems per extension op; a function of the op and
+        # the (fixed) extensions, so memoising it keeps the registry immutable
+        self.extop_problems: dict[ExtensionOp, list[str]] = {}
 
     def extensions(self) -> tuple[Extension, ...]:
         return tuple(self._extensions.values())
@@ -309,13 +309,6 @@ class Registry:
             if o.name == name:
                 return o
         raise OpError(f"extension {ext_id!r} defines no op {name!r}")
-
-    def resolves(self, op: ExtensionOp) -> bool:
-        try:
-            self.op_def(op.extension, op.name)
-            return True
-        except OpError:
-            return False
 
 
 def register(registry: Registry, extension: Extension) -> Registry:

@@ -25,6 +25,7 @@ from .build import DfBuilder, splice_region
 from .graph import Hugr, Port, RemovedSubtree, in_port, out_port
 from .ops import ExtensionOp, FuncDef, OpKind, Registry, Value, value_signature
 from .types import Signature
+from .validate import _DATAFLOW_CONTAINERS, _check_node_ports
 
 WILDCARD_EXTENSION = "pattern.wild"
 
@@ -79,7 +80,7 @@ class Pattern:
     anchor: int
 
     def __post_init__(self) -> None:
-        region = self.region()
+        region = fragment_region(self.hugr)
         inner = self.inner_nodes()
         if not inner:
             raise RewriteError("pattern fragment has no inner nodes")
@@ -98,17 +99,11 @@ class Pattern:
                 raise RewriteError("pattern boundary must not pass inputs through")
         self._check_connected()
 
-    def region(self) -> int:
-        for c in self.hugr.children(self.hugr.root):
-            if isinstance(self.hugr.op(c), FuncDef):
-                return c
-        raise RewriteError("pattern fragment must contain one function definition")
-
     def boundary(self) -> Signature:
-        return self.hugr.op(self.region()).scheme.body
+        return _fragment_boundary(self.hugr)
 
     def inner_nodes(self) -> list[int]:
-        return self.hugr.children(self.region())[2:]
+        return self.hugr.children(fragment_region(self.hugr))[2:]
 
     @cached_property
     def program(self) -> _Program:
@@ -153,7 +148,7 @@ class Match:
     def host_output_port(self, index: int) -> Port:
         """The host port providing boundary output ``index``."""
         ph = self.pattern.hugr
-        out_node = ph.children(self.pattern.region())[1]
+        out_node = ph.children(fragment_region(ph))[1]
         src = ph.neighbours(in_port(out_node, index))[0]
         return out_port(self.mapping[src.node], src.offset)
 
@@ -190,19 +185,18 @@ class RewriteRule:
         if self.lhs.boundary() != _fragment_boundary(self.rhs):
             raise RewriteError(f"rule {self.name!r}: boundary signatures differ")
 
-    def rhs_region(self) -> int:
-        for c in self.rhs.children(self.rhs.root):
-            if isinstance(self.rhs.op(c), FuncDef):
-                return c
-        raise RewriteError("replacement fragment must contain one function definition")
+
+def fragment_region(fragment: Hugr) -> int:
+    """The function definition whose body is the fragment of a pattern or
+    replacement."""
+    for c in fragment.children(fragment.root):
+        if isinstance(fragment.op(c), FuncDef):
+            return c
+    raise RewriteError("fragment must contain one function definition")
 
 
 def _fragment_boundary(fragment: Hugr) -> Signature:
-    for c in fragment.children(fragment.root):
-        op = fragment.op(c)
-        if isinstance(op, FuncDef):
-            return op.scheme.body
-    raise RewriteError("fragment must contain one function definition")
+    return fragment.op(fragment_region(fragment)).scheme.body
 
 
 # ── matching ───────────────────────────────────────────────────────
@@ -246,7 +240,7 @@ def _compile(pattern: Pattern) -> _Program:
                         queue.append(peer.node)
 
     # a complete mapping holds exactly the nodes the steps reach
-    p_input, p_output = ph.children(pattern.region())[:2]
+    p_input, p_output = ph.children(fragment_region(ph))[:2]
     boundary = pattern.boundary()
     exported = {(e.src.node, e.src.offset)
                 for off in range(len(boundary.outputs))
@@ -428,7 +422,7 @@ def apply(rule: RewriteRule, match: Match, h: Hugr, registry: Registry) -> Rewri
 
     try:
         builder = DfBuilder.attach(h, region, registry)
-        rhs_outs = splice_region(builder, rule.rhs, rule.rhs_region(),
+        rhs_outs = splice_region(builder, rule.rhs, fragment_region(rule.rhs),
                                  match.boundary_sources)
         for j, wire in enumerate(rhs_outs):
             for dst in consumers[j]:
@@ -444,7 +438,8 @@ def apply(rule: RewriteRule, match: Match, h: Hugr, registry: Registry) -> Rewri
             raise ValidationFailed(
                 f"rule {rule.name!r} left the region invalid: {diags[0].render()}")
     except Exception:
-        _rollback(h, region, watermark, removed, added_edges)
+        added = [n for n in h.children(region) if n >= watermark]
+        _revert(h, added_edges, added, removed)
         raise
 
     return RewriteDelta(rule.name, region, match.anchor_host(), removed, added,
@@ -453,8 +448,6 @@ def apply(rule: RewriteRule, match: Match, h: Hugr, registry: Registry) -> Rewri
 
 def _check_touched(h: Hugr, region: int, registry: Registry,
                    touched: set[int]) -> list:
-    from .validate import _check_node_ports
-
     member = set(h.children(region))
     diags: list = []
     for n in sorted(touched):
@@ -475,40 +468,27 @@ def _recheck(pattern: Pattern, match: Match, h: Hugr) -> None:
         raise StaleMatch("match no longer embeds")
 
 
-def _rollback(h: Hugr, region: int, watermark: int,
-              removed: list[RemovedSubtree], added_edges: list) -> None:
+def undo(h: Hugr, delta: RewriteDelta) -> None:
+    """Invert a successful application, restoring the original structure."""
+    _revert(h, delta.added_edges, delta.added_nodes, delta.removed)
+
+
+def _revert(h: Hugr, added_edges: list, added_nodes: list[int],
+            removed: list[RemovedSubtree]) -> None:
     for e in added_edges:
         if h.has_edge(e):
             h.disconnect(e)
-    for n in list(h.children(region)):
-        if n >= watermark:
-            h.remove_node(n)
-    for sub in reversed(removed):
-        h.restore(sub)
-
-
-def undo(h: Hugr, delta: RewriteDelta) -> None:
-    """Invert a successful application, restoring the original structure."""
-    for e in delta.added_edges:
-        if h.has_edge(e):
-            h.disconnect(e)
-    for n in delta.added_nodes:
+    for n in added_nodes:
         if n in h:
             h.remove_node(n)
-    for sub in reversed(delta.removed):
+    for sub in reversed(removed):
         h.restore(sub)
 
 
 # ── saturation ─────────────────────────────────────────────────────
 
 def _dataflow_regions(h: Hugr) -> list[int]:
-    from .ops import BasicBlock, Case, TailLoop
-
-    out = []
-    for n in h.preorder():
-        if isinstance(h.op(n), (FuncDef, Case, TailLoop, BasicBlock)):
-            out.append(n)
-    return out
+    return [n for n in h.preorder() if isinstance(h.op(n), _DATAFLOW_CONTAINERS)]
 
 
 def saturate(rules: list[RewriteRule], h: Hugr, budget: int, registry: Registry,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from typing import Any
+from typing import Any, Callable, Iterable, NamedTuple
 
 from .graph import Direction, Hugr, Port
 from .ops import (
@@ -50,6 +50,7 @@ from .types import (
     PolySignature,
     Signature,
     Type,
+    TypeError_,
     VarType,
 )
 
@@ -71,8 +72,7 @@ def type_to_term(t: Type) -> Any:
     if isinstance(t, EnumType):
         return {"enum": t.cardinality}
     if isinstance(t, FunctionType):
-        return {"fn": {"inputs": [type_to_term(x) for x in t.signature.inputs],
-                       "outputs": [type_to_term(x) for x in t.signature.outputs]}}
+        return {"fn": _sig_to_term(t.signature)}
     if isinstance(t, VarType):
         return {"var": t.index}
     raise DecodeError(f"unserialisable type {t!r}")
@@ -87,41 +87,40 @@ def term_to_type(term: Any) -> Type:
     if "enum" in term:
         return EnumType(int(term["enum"]))
     if "fn" in term:
-        fn = term["fn"]
-        return FunctionType(Signature(
-            tuple(term_to_type(x) for x in fn["inputs"]),
-            tuple(term_to_type(x) for x in fn["outputs"])))
+        return FunctionType(_term_to_sig(term["fn"]))
     if "var" in term:
         return VarType(int(term["var"]))
     raise DecodeError(f"malformed type term {term!r}")
 
 
-def scheme_to_term(s: PolySignature) -> Any:
-    return {"params": s.param_count,
-            "inputs": [type_to_term(t) for t in s.body.inputs],
-            "outputs": [type_to_term(t) for t in s.body.outputs]}
+def _row(types: tuple[Type, ...]) -> list[Any]:
+    return [type_to_term(t) for t in types]
 
 
-def term_to_scheme(term: Any) -> PolySignature:
-    try:
-        return PolySignature(int(term["params"]), Signature(
-            tuple(term_to_type(t) for t in term["inputs"]),
-            tuple(term_to_type(t) for t in term["outputs"])))
-    except (KeyError, TypeError) as exc:
-        raise DecodeError(f"malformed signature scheme {term!r}") from exc
+def _term_to_row(term: Any) -> tuple[Type, ...]:
+    return tuple(term_to_type(t) for t in term)
 
 
 def _sig_to_term(sig: Signature) -> Any:
-    return {"inputs": [type_to_term(t) for t in sig.inputs],
-            "outputs": [type_to_term(t) for t in sig.outputs]}
+    return {"inputs": _row(sig.inputs), "outputs": _row(sig.outputs)}
 
 
 def _term_to_sig(term: Any) -> Signature:
     try:
-        return Signature(tuple(term_to_type(t) for t in term["inputs"]),
-                         tuple(term_to_type(t) for t in term["outputs"]))
+        return Signature(_term_to_row(term["inputs"]), _term_to_row(term["outputs"]))
     except (KeyError, TypeError) as exc:
         raise DecodeError(f"malformed signature {term!r}") from exc
+
+
+def scheme_to_term(s: PolySignature) -> Any:
+    return {"params": s.param_count, **_sig_to_term(s.body)}
+
+
+def term_to_scheme(term: Any) -> PolySignature:
+    try:
+        return PolySignature(int(term["params"]), _term_to_sig(term))
+    except (KeyError, TypeError, ValueError, TypeError_) as exc:
+        raise DecodeError(f"malformed signature scheme {term!r}") from exc
 
 
 def _payload_to_term(payload: Type | PolySignature) -> Any:
@@ -138,110 +137,111 @@ def _term_to_payload(term: Any) -> Type | PolySignature:
 
 # ── op terms ───────────────────────────────────────────────────────
 
-def _row(types) -> list[Any]:
-    return [type_to_term(t) for t in types]
+class _Codec(NamedTuple):
+    """How one op field becomes JSON and back, and the types it holds."""
+
+    encode: Callable[[Any], Any]
+    decode: Callable[[Any], Any]
+    types: Callable[[Any], tuple[Type, ...]]
+
+
+def _same(value: Any) -> Any:
+    return value
+
+
+def _no_types(value: Any) -> tuple[Type, ...]:
+    return ()
+
+
+_AS_IS = _Codec(_same, _same, _no_types)
+_INT = _Codec(_same, int, _no_types)
+_TYPE = _Codec(type_to_term, term_to_type, lambda t: (t,))
+_ROW = _Codec(_row, _term_to_row, _same)
+_SIG = _Codec(_sig_to_term, _term_to_sig, lambda s: s.inputs + s.outputs)
+_SCHEME = _Codec(scheme_to_term, term_to_scheme, lambda s: s.body.inputs + s.body.outputs)
+
+
+class _Field(NamedTuple):
+    """One op attribute in its term. ``key`` None spreads the encoded
+    mapping into the term; ``optional`` leaves an empty value out."""
+
+    key: str | None
+    attr: str
+    codec: _Codec
+    optional: bool = False
+
+
+_TYPE_ARGS = _Field("type_args", "type_args", _ROW, optional=True)
+
+# Every op kind: its "kind" name, class and fields, in canonical key order.
+_OP_TERMS: tuple[tuple[str, type[OpKind], tuple[_Field, ...]], ...] = (
+    ("Module", Module, ()),
+    ("FuncDef", FuncDef, (_Field("name", "name", _AS_IS), _Field("scheme", "scheme", _SCHEME))),
+    ("FuncDecl", FuncDecl, (_Field("name", "name", _AS_IS), _Field("scheme", "scheme", _SCHEME))),
+    ("Input", Input, (_Field("types", "types", _ROW),)),
+    ("Output", Output, (_Field("types", "types", _ROW),)),
+    ("Call", Call, (_Field("scheme", "scheme", _SCHEME), _TYPE_ARGS)),
+    ("LoadFunction", LoadFunction, (_Field("scheme", "scheme", _SCHEME), _TYPE_ARGS)),
+    ("Const", Const, (_Field("value", "value", _AS_IS), _Field("type", "type", _TYPE))),
+    ("LoadConst", LoadConst, (_Field("type", "type", _TYPE),)),
+    ("Conditional", Conditional, (_Field("cardinality", "cardinality", _INT),
+                                  _Field("inputs", "other_inputs", _ROW),
+                                  _Field("outputs", "outputs", _ROW))),
+    ("Case", Case, ()),
+    ("TailLoop", TailLoop, (_Field("loop_vars", "loop_vars", _ROW),)),
+    ("CFG", Cfg, (_Field(None, "signature", _SIG),)),
+    ("BasicBlock", BasicBlock, (_Field("inputs", "inputs", _ROW),
+                                _Field("successors", "successor_count", _INT))),
+    ("ExitBlock", ExitBlock, (_Field("outputs", "outputs", _ROW),)),
+    ("ExtensionOp", ExtensionOp, (_Field("ext", "extension", _AS_IS),
+                                  _Field("name", "name", _AS_IS),
+                                  _Field("signature", "signature", _SIG), _TYPE_ARGS)),
+)
+_BY_CLASS = {cls: (kind, fields) for kind, cls, fields in _OP_TERMS}
+_BY_KIND = {kind: (cls, fields) for kind, cls, fields in _OP_TERMS}
 
 
 def op_to_term(op: OpKind) -> Any:
-    if isinstance(op, Module):
-        return {"kind": "Module"}
-    if isinstance(op, FuncDef):
-        return {"kind": "FuncDef", "name": op.name, "scheme": scheme_to_term(op.scheme)}
-    if isinstance(op, FuncDecl):
-        return {"kind": "FuncDecl", "name": op.name, "scheme": scheme_to_term(op.scheme)}
-    if isinstance(op, Input):
-        return {"kind": "Input", "types": _row(op.types)}
-    if isinstance(op, Output):
-        return {"kind": "Output", "types": _row(op.types)}
-    if isinstance(op, Call):
-        term = {"kind": "Call", "scheme": scheme_to_term(op.scheme)}
-        if op.type_args:
-            term["type_args"] = _row(op.type_args)
-        return term
-    if isinstance(op, LoadFunction):
-        term = {"kind": "LoadFunction", "scheme": scheme_to_term(op.scheme)}
-        if op.type_args:
-            term["type_args"] = _row(op.type_args)
-        return term
-    if isinstance(op, Const):
-        return {"kind": "Const", "value": op.value, "type": type_to_term(op.type)}
-    if isinstance(op, LoadConst):
-        return {"kind": "LoadConst", "type": type_to_term(op.type)}
-    if isinstance(op, Conditional):
-        return {"kind": "Conditional", "cardinality": op.cardinality,
-                "inputs": _row(op.other_inputs), "outputs": _row(op.outputs)}
-    if isinstance(op, Case):
-        return {"kind": "Case"}
-    if isinstance(op, TailLoop):
-        return {"kind": "TailLoop", "loop_vars": _row(op.loop_vars)}
-    if isinstance(op, Cfg):
-        return {"kind": "CFG", "inputs": _row(op.signature.inputs),
-                "outputs": _row(op.signature.outputs)}
-    if isinstance(op, BasicBlock):
-        return {"kind": "BasicBlock", "inputs": _row(op.inputs),
-                "successors": op.successor_count}
-    if isinstance(op, ExitBlock):
-        return {"kind": "ExitBlock", "outputs": _row(op.outputs)}
-    if isinstance(op, ExtensionOp):
-        term = {"kind": "ExtensionOp", "ext": op.extension, "name": op.name,
-                "signature": _sig_to_term(op.signature)}
-        if op.type_args:
-            term["type_args"] = _row(op.type_args)
-        return term
-    raise DecodeError(f"unserialisable op {op!r}")
+    try:
+        kind, fields = _BY_CLASS[type(op)]
+    except KeyError:
+        raise DecodeError(f"unserialisable op {op!r}") from None
+    term: dict[str, Any] = {"kind": kind}
+    for key, attr, codec, optional in fields:
+        value = getattr(op, attr)
+        if optional and not value:
+            continue
+        if key is None:
+            term.update(codec.encode(value))
+        else:
+            term[key] = codec.encode(value)
+    return term
 
 
 def term_to_op(term: Any) -> OpKind:
     if not isinstance(term, dict) or "kind" not in term:
         raise DecodeError(f"malformed op term {term!r}")
     kind = term["kind"]
+    entry = _BY_KIND.get(kind) if isinstance(kind, str) else None
+    if entry is None:
+        raise DecodeError(f"unknown op kind {kind!r}")
+    cls, fields = entry
+    args: dict[str, Any] = {}
     try:
-        if kind == "Module":
-            return Module()
-        if kind == "FuncDef":
-            return FuncDef(term["name"], term_to_scheme(term["scheme"]))
-        if kind == "FuncDecl":
-            return FuncDecl(term["name"], term_to_scheme(term["scheme"]))
-        if kind == "Input":
-            return Input(tuple(term_to_type(t) for t in term["types"]))
-        if kind == "Output":
-            return Output(tuple(term_to_type(t) for t in term["types"]))
-        if kind == "Call":
-            return Call(tuple(term_to_type(t) for t in term.get("type_args", [])),
-                        term_to_scheme(term["scheme"]))
-        if kind == "LoadFunction":
-            return LoadFunction(tuple(term_to_type(t) for t in term.get("type_args", [])),
-                                term_to_scheme(term["scheme"]))
-        if kind == "Const":
-            ty = term_to_type(term["type"])
-            value = term["value"]
-            value = float(value) if ty == F64 else value
-            return Const(value, ty)
-        if kind == "LoadConst":
-            return LoadConst(term_to_type(term["type"]))
-        if kind == "Conditional":
-            return Conditional(int(term["cardinality"]),
-                               tuple(term_to_type(t) for t in term["inputs"]),
-                               tuple(term_to_type(t) for t in term["outputs"]))
-        if kind == "Case":
-            return Case()
-        if kind == "TailLoop":
-            return TailLoop(tuple(term_to_type(t) for t in term["loop_vars"]))
-        if kind == "CFG":
-            return Cfg(Signature(tuple(term_to_type(t) for t in term["inputs"]),
-                                 tuple(term_to_type(t) for t in term["outputs"])))
-        if kind == "BasicBlock":
-            return BasicBlock(tuple(term_to_type(t) for t in term["inputs"]),
-                              int(term["successors"]))
-        if kind == "ExitBlock":
-            return ExitBlock(tuple(term_to_type(t) for t in term["outputs"]))
-        if kind == "ExtensionOp":
-            return ExtensionOp(term["ext"], term["name"],
-                               tuple(term_to_type(t) for t in term.get("type_args", [])),
-                               _term_to_sig(term["signature"]))
-    except (KeyError, TypeError) as exc:
+        for key, attr, codec, optional in fields:
+            if key is None:
+                raw = term
+            elif optional:
+                raw = term.get(key, ())
+            else:
+                raw = term[key]
+            args[attr] = codec.decode(raw)
+        # f64 constants evaluate as floats even when written as JSON integers
+        if cls is Const and args["type"] == F64:
+            args["value"] = float(args["value"])
+        return cls(**args)
+    except (KeyError, TypeError, ValueError, TypeError_) as exc:
         raise DecodeError(f"malformed {kind} term: {exc}") from exc
-    raise DecodeError(f"unknown op kind {kind!r}")
 
 
 # ── envelopes ──────────────────────────────────────────────────────
@@ -249,52 +249,21 @@ def term_to_op(term: Any) -> OpKind:
 _KIND_NAMES = {"Value": Value, "Static": Static, "ControlFlow": ControlFlow}
 
 
-def _collect_extensions(h: Hugr) -> list[str]:
+def _collect_extensions(ops: Iterable[OpKind]) -> list[str]:
     exts: set[str] = set()
-
-    def from_type(t: Type) -> None:
-        if isinstance(t, ExtType):
-            exts.add(t.extension)
-            for a in t.args:
-                from_type(a)
-        elif isinstance(t, FunctionType):
-            for x in t.signature.inputs + t.signature.outputs:
-                from_type(x)
-
-    def from_scheme(s: PolySignature) -> None:
-        for t in s.body.inputs + s.body.outputs:
-            from_type(t)
-
-    for n in h.preorder():
-        op = h.op(n)
+    types: list[Type] = []
+    for op in ops:
         if isinstance(op, ExtensionOp):
             exts.add(op.extension)
-            for t in op.type_args:
-                from_type(t)
-            for t in op.signature.inputs + op.signature.outputs:
-                from_type(t)
-        elif isinstance(op, (FuncDef, FuncDecl, Call, LoadFunction)):
-            from_scheme(op.scheme)
-        elif isinstance(op, (Input, Output)):
-            for t in op.types:
-                from_type(t)
-        elif isinstance(op, (Const, LoadConst)):
-            from_type(op.type)
-        elif isinstance(op, Conditional):
-            for t in op.other_inputs + op.outputs:
-                from_type(t)
-        elif isinstance(op, TailLoop):
-            for t in op.loop_vars:
-                from_type(t)
-        elif isinstance(op, Cfg):
-            for t in op.signature.inputs + op.signature.outputs:
-                from_type(t)
-        elif isinstance(op, BasicBlock):
-            for t in op.inputs:
-                from_type(t)
-        elif isinstance(op, ExitBlock):
-            for t in op.outputs:
-                from_type(t)
+        for f in _BY_CLASS[type(op)][1]:
+            types.extend(f.codec.types(getattr(op, f.attr)))
+    while types:
+        t = types.pop()
+        if isinstance(t, ExtType):
+            exts.add(t.extension)
+            types.extend(t.args)
+        elif isinstance(t, FunctionType):
+            types.extend(t.signature.inputs + t.signature.outputs)
     return sorted(exts)
 
 
@@ -325,7 +294,7 @@ def to_document(h: Hugr) -> dict[str, Any]:
     edges.sort(key=lambda r: (r["src"][0], r["src"][1], r["dst"][0], r["dst"][1], r["kind"]))
     return {
         "version": FORMAT_VERSION,
-        "extensions_required": _collect_extensions(h),
+        "extensions_required": _collect_extensions(h.op(n) for n in order),
         "nodes": nodes,
         "edges": edges,
     }

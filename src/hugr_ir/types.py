@@ -123,10 +123,6 @@ def contains_var(t: Type) -> bool:
     return False
 
 
-def is_monomorphic(sig: Signature) -> bool:
-    return not any(contains_var(t) for t in sig.inputs + sig.outputs)
-
-
 def is_linear(t: Type, registry: "Registry") -> bool:
     """True iff values of ``t`` must be used exactly once.
 

@@ -45,6 +45,7 @@ from .ops import (
     LoadConst,
     LoadFunction,
     Module,
+    OpError,
     OpKind,
     Output,
     Registry,
@@ -52,7 +53,6 @@ from .ops import (
     TailLoop,
     Value,
     instantiate,
-    port_rows,
 )
 from .types import BOOL, EnumType, Type, TypeError_, VarType, contains_var, is_linear
 
@@ -141,7 +141,7 @@ def discarded_value_lints(h: Hugr, registry: Registry) -> list[str]:
             nd = h.node(n)
             if isinstance(nd.op, Output):
                 continue
-            _, outs = port_rows(nd.op)
+            _, outs = nd.rows
             for off, kind in enumerate(outs):
                 if not isinstance(kind, Value) or nd.out_edges[off]:
                     continue
@@ -296,7 +296,7 @@ def _check_node_ports(h: Hugr, n: int, region: set[int],
     diags: list[Diagnostic] = []
     nd = h.node(n)
     op = nd.op
-    ins, outs = port_rows(op)
+    ins, outs = nd.rows
 
     if isinstance(op, ExtensionOp):
         diags.extend(_check_extension_op(n, op, registry))
@@ -397,22 +397,19 @@ def _check_static_edge(h: Hugr, e: Edge, expect: Static) -> list[Diagnostic]:
 
 
 def _check_extension_op(n: int, op: ExtensionOp, registry: Registry) -> list[Diagnostic]:
-    cache = getattr(registry, "_extop_check_cache", None)
-    if cache is None:
-        cache = {}
-        registry._extop_check_cache = cache  # registries are immutable
-    problems = cache.get(op)
+    problems = registry.extop_problems.get(op)
     if problems is None:
-        problems = _extension_op_problems(op, registry)
-        cache[op] = problems
+        problems = registry.extop_problems[op] = _extension_op_problems(op, registry)
     return [Diagnostic(Code.UnknownOp, n, None, msg) for msg in problems]
 
 
 def _extension_op_problems(op: ExtensionOp, registry: Registry) -> list[str]:
-    if not registry.has_extension(op.extension) or not registry.resolves(op):
+    try:
+        scheme = registry.op_def(op.extension, op.name).scheme
+    except OpError:
         return [f"{op.extension}.{op.name} is not registered"]
     try:
-        expected = instantiate(registry.op_def(op.extension, op.name).scheme, op.type_args)
+        expected = instantiate(scheme, op.type_args)
     except TypeError_ as exc:
         return [f"{op.extension}.{op.name}: bad type arguments ({exc})"]
     if expected != op.signature:

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import heapq
+import json
 from itertools import permutations
+from typing import Any
 
 import numpy as np
 
@@ -36,8 +38,13 @@ from hugr_ir.ops import (
     ExtensionOp,
     FuncDecl,
     FuncDef,
+    Input,
     LoadConst,
     LoadFunction,
+    Module,
+    OpKind,
+    Output,
+    Static,
     TailLoop,
     instantiate,
     value_signature,
@@ -50,6 +57,7 @@ from hugr_ir.rewrite import (
     _is_convex,
     _op_matches,
     apply,
+    fragment_region,
 )
 from hugr_ir.build import DfBuilder, splice_region
 from hugr_ir.graph import in_port, out_port
@@ -70,7 +78,18 @@ from hugr_ir.structure import (
     _SuperNode,
     _sweep_dead_consts,
 )
-from hugr_ir.types import BOOL, EnumType, Signature, Type
+from hugr_ir.serial import FORMAT_VERSION, DecodeError
+from hugr_ir.types import (
+    BOOL,
+    F64,
+    EnumType,
+    ExtType,
+    FunctionType,
+    PolySignature,
+    Signature,
+    Type,
+    VarType,
+)
 
 
 def naive_find_matches(pattern: Pattern, h: Hugr, region: int) -> set[frozenset]:
@@ -92,7 +111,7 @@ def naive_find_matches(pattern: Pattern, h: Hugr, region: int) -> set[frozenset]
 def _check_assignment(pattern: Pattern, h: Hugr, region: int,
                       mapping: dict[int, int]) -> bool:
     ph = pattern.hugr
-    children = ph.children(pattern.region())
+    children = ph.children(fragment_region(ph))
     p_input, p_output = children[0], children[1]
     image = set(mapping.values())
 
@@ -307,7 +326,7 @@ def _naive_extend(pattern, h, region, steps, depth, mapping, used, stats):
 def _naive_finalise(pattern: Pattern, h: Hugr, region: int,
                     mapping: dict[int, int]) -> Match | None:
     ph = pattern.hugr
-    children = ph.children(pattern.region())
+    children = ph.children(fragment_region(ph))
     p_input, p_output = children[0], children[1]
     image = set(mapping.values())
 
@@ -932,3 +951,279 @@ class NaiveInterpreter:
         self._iterations += 1
         if self._iterations > self.iteration_cap:
             raise NonTerminating(f"iteration cap {self.iteration_cap} exceeded")
+
+
+# ── serial: the per-kind encoder and decoder the op-term table replaced ──
+
+def naive_type_to_term(t: Type) -> Any:
+    if isinstance(t, ExtType):
+        term: dict[str, Any] = {"ext": t.extension, "name": t.name}
+        if t.args:
+            term["args"] = [naive_type_to_term(a) for a in t.args]
+        return term
+    if isinstance(t, EnumType):
+        return {"enum": t.cardinality}
+    if isinstance(t, FunctionType):
+        return {"fn": {"inputs": [naive_type_to_term(x) for x in t.signature.inputs],
+                       "outputs": [naive_type_to_term(x) for x in t.signature.outputs]}}
+    if isinstance(t, VarType):
+        return {"var": t.index}
+    raise DecodeError(f"unserialisable type {t!r}")
+
+
+def naive_term_to_type(term: Any) -> Type:
+    if not isinstance(term, dict):
+        raise DecodeError(f"malformed type term {term!r}")
+    if "ext" in term:
+        args = tuple(naive_term_to_type(a) for a in term.get("args", []))
+        return ExtType(term["ext"], term["name"], args)
+    if "enum" in term:
+        return EnumType(int(term["enum"]))
+    if "fn" in term:
+        fn = term["fn"]
+        return FunctionType(Signature(
+            tuple(naive_term_to_type(x) for x in fn["inputs"]),
+            tuple(naive_term_to_type(x) for x in fn["outputs"])))
+    if "var" in term:
+        return VarType(int(term["var"]))
+    raise DecodeError(f"malformed type term {term!r}")
+
+
+def naive_scheme_to_term(s: PolySignature) -> Any:
+    return {"params": s.param_count,
+            "inputs": [naive_type_to_term(t) for t in s.body.inputs],
+            "outputs": [naive_type_to_term(t) for t in s.body.outputs]}
+
+
+def naive_term_to_scheme(term: Any) -> PolySignature:
+    try:
+        return PolySignature(int(term["params"]), Signature(
+            tuple(naive_term_to_type(t) for t in term["inputs"]),
+            tuple(naive_term_to_type(t) for t in term["outputs"])))
+    except (KeyError, TypeError) as exc:
+        raise DecodeError(f"malformed signature scheme {term!r}") from exc
+
+
+def _naive_sig_to_term(sig: Signature) -> Any:
+    return {"inputs": [naive_type_to_term(t) for t in sig.inputs],
+            "outputs": [naive_type_to_term(t) for t in sig.outputs]}
+
+
+def _naive_term_to_sig(term: Any) -> Signature:
+    try:
+        return Signature(tuple(naive_term_to_type(t) for t in term["inputs"]),
+                         tuple(naive_term_to_type(t) for t in term["outputs"]))
+    except (KeyError, TypeError) as exc:
+        raise DecodeError(f"malformed signature {term!r}") from exc
+
+
+def _naive_payload_to_term(payload: Type | PolySignature) -> Any:
+    if isinstance(payload, PolySignature):
+        return naive_scheme_to_term(payload)
+    return naive_type_to_term(payload)
+
+
+def _naive_row(types) -> list[Any]:
+    return [naive_type_to_term(t) for t in types]
+
+
+def naive_op_to_term(op: OpKind) -> Any:
+    if isinstance(op, Module):
+        return {"kind": "Module"}
+    if isinstance(op, FuncDef):
+        return {"kind": "FuncDef", "name": op.name, "scheme": naive_scheme_to_term(op.scheme)}
+    if isinstance(op, FuncDecl):
+        return {"kind": "FuncDecl", "name": op.name, "scheme": naive_scheme_to_term(op.scheme)}
+    if isinstance(op, Input):
+        return {"kind": "Input", "types": _naive_row(op.types)}
+    if isinstance(op, Output):
+        return {"kind": "Output", "types": _naive_row(op.types)}
+    if isinstance(op, Call):
+        term = {"kind": "Call", "scheme": naive_scheme_to_term(op.scheme)}
+        if op.type_args:
+            term["type_args"] = _naive_row(op.type_args)
+        return term
+    if isinstance(op, LoadFunction):
+        term = {"kind": "LoadFunction", "scheme": naive_scheme_to_term(op.scheme)}
+        if op.type_args:
+            term["type_args"] = _naive_row(op.type_args)
+        return term
+    if isinstance(op, Const):
+        return {"kind": "Const", "value": op.value, "type": naive_type_to_term(op.type)}
+    if isinstance(op, LoadConst):
+        return {"kind": "LoadConst", "type": naive_type_to_term(op.type)}
+    if isinstance(op, Conditional):
+        return {"kind": "Conditional", "cardinality": op.cardinality,
+                "inputs": _naive_row(op.other_inputs), "outputs": _naive_row(op.outputs)}
+    if isinstance(op, Case):
+        return {"kind": "Case"}
+    if isinstance(op, TailLoop):
+        return {"kind": "TailLoop", "loop_vars": _naive_row(op.loop_vars)}
+    if isinstance(op, Cfg):
+        return {"kind": "CFG", "inputs": _naive_row(op.signature.inputs),
+                "outputs": _naive_row(op.signature.outputs)}
+    if isinstance(op, BasicBlock):
+        return {"kind": "BasicBlock", "inputs": _naive_row(op.inputs),
+                "successors": op.successor_count}
+    if isinstance(op, ExitBlock):
+        return {"kind": "ExitBlock", "outputs": _naive_row(op.outputs)}
+    if isinstance(op, ExtensionOp):
+        term = {"kind": "ExtensionOp", "ext": op.extension, "name": op.name,
+                "signature": _naive_sig_to_term(op.signature)}
+        if op.type_args:
+            term["type_args"] = _naive_row(op.type_args)
+        return term
+    raise DecodeError(f"unserialisable op {op!r}")
+
+
+def naive_term_to_op(term: Any) -> OpKind:
+    if not isinstance(term, dict) or "kind" not in term:
+        raise DecodeError(f"malformed op term {term!r}")
+    kind = term["kind"]
+    try:
+        if kind == "Module":
+            return Module()
+        if kind == "FuncDef":
+            return FuncDef(term["name"], naive_term_to_scheme(term["scheme"]))
+        if kind == "FuncDecl":
+            return FuncDecl(term["name"], naive_term_to_scheme(term["scheme"]))
+        if kind == "Input":
+            return Input(tuple(naive_term_to_type(t) for t in term["types"]))
+        if kind == "Output":
+            return Output(tuple(naive_term_to_type(t) for t in term["types"]))
+        if kind == "Call":
+            return Call(tuple(naive_term_to_type(t) for t in term.get("type_args", [])),
+                        naive_term_to_scheme(term["scheme"]))
+        if kind == "LoadFunction":
+            return LoadFunction(tuple(naive_term_to_type(t) for t in term.get("type_args", [])),
+                                naive_term_to_scheme(term["scheme"]))
+        if kind == "Const":
+            ty = naive_term_to_type(term["type"])
+            value = term["value"]
+            value = float(value) if ty == F64 else value
+            return Const(value, ty)
+        if kind == "LoadConst":
+            return LoadConst(naive_term_to_type(term["type"]))
+        if kind == "Conditional":
+            return Conditional(int(term["cardinality"]),
+                               tuple(naive_term_to_type(t) for t in term["inputs"]),
+                               tuple(naive_term_to_type(t) for t in term["outputs"]))
+        if kind == "Case":
+            return Case()
+        if kind == "TailLoop":
+            return TailLoop(tuple(naive_term_to_type(t) for t in term["loop_vars"]))
+        if kind == "CFG":
+            return Cfg(Signature(tuple(naive_term_to_type(t) for t in term["inputs"]),
+                                 tuple(naive_term_to_type(t) for t in term["outputs"])))
+        if kind == "BasicBlock":
+            return BasicBlock(tuple(naive_term_to_type(t) for t in term["inputs"]),
+                              int(term["successors"]))
+        if kind == "ExitBlock":
+            return ExitBlock(tuple(naive_term_to_type(t) for t in term["outputs"]))
+        if kind == "ExtensionOp":
+            return ExtensionOp(term["ext"], term["name"],
+                               tuple(naive_term_to_type(t) for t in term.get("type_args", [])),
+                               _naive_term_to_sig(term["signature"]))
+    except (KeyError, TypeError) as exc:
+        raise DecodeError(f"malformed {kind} term: {exc}") from exc
+    raise DecodeError(f"unknown op kind {kind!r}")
+
+
+def _naive_collect_extensions(h: Hugr) -> list[str]:
+    exts: set[str] = set()
+
+    def from_type(t: Type) -> None:
+        if isinstance(t, ExtType):
+            exts.add(t.extension)
+            for a in t.args:
+                from_type(a)
+        elif isinstance(t, FunctionType):
+            for x in t.signature.inputs + t.signature.outputs:
+                from_type(x)
+
+    def from_scheme(s: PolySignature) -> None:
+        for t in s.body.inputs + s.body.outputs:
+            from_type(t)
+
+    for n in h.preorder():
+        op = h.op(n)
+        if isinstance(op, ExtensionOp):
+            exts.add(op.extension)
+            for t in op.type_args:
+                from_type(t)
+            for t in op.signature.inputs + op.signature.outputs:
+                from_type(t)
+        elif isinstance(op, (FuncDef, FuncDecl, Call, LoadFunction)):
+            from_scheme(op.scheme)
+        elif isinstance(op, (Input, Output)):
+            for t in op.types:
+                from_type(t)
+        elif isinstance(op, (Const, LoadConst)):
+            from_type(op.type)
+        elif isinstance(op, Conditional):
+            for t in op.other_inputs + op.outputs:
+                from_type(t)
+        elif isinstance(op, TailLoop):
+            for t in op.loop_vars:
+                from_type(t)
+        elif isinstance(op, Cfg):
+            for t in op.signature.inputs + op.signature.outputs:
+                from_type(t)
+        elif isinstance(op, BasicBlock):
+            for t in op.inputs:
+                from_type(t)
+        elif isinstance(op, ExitBlock):
+            for t in op.outputs:
+                from_type(t)
+    return sorted(exts)
+
+
+def naive_to_document(h: Hugr) -> dict[str, Any]:
+    """The canonical JSON document for a graph."""
+    order = h.preorder()
+    idmap = {old: i for i, old in enumerate(order)}
+    nodes = []
+    for old in order:
+        nd = h.node(old)
+        nodes.append({
+            "id": idmap[old],
+            "parent": None if nd.parent is None else idmap[nd.parent],
+            "op": naive_op_to_term(nd.op),
+        })
+    edges = []
+    for e in h.all_edges():
+        rec: dict[str, Any] = {
+            "src": [idmap[e.src.node], e.src.offset],
+            "dst": [idmap[e.dst.node], e.dst.offset],
+            "kind": type(e.kind).__name__,
+        }
+        if isinstance(e.kind, Value):
+            rec["type"] = naive_type_to_term(e.kind.type)
+        elif isinstance(e.kind, Static):
+            rec["type"] = _naive_payload_to_term(e.kind.payload)
+        edges.append(rec)
+    edges.sort(key=lambda r: (r["src"][0], r["src"][1], r["dst"][0], r["dst"][1], r["kind"]))
+    return {
+        "version": FORMAT_VERSION,
+        "extensions_required": _naive_collect_extensions(h),
+        "nodes": nodes,
+        "edges": edges,
+    }
+
+
+def naive_encode(h: Hugr) -> str:
+    return json.dumps(naive_to_document(h), separators=(",", ":"))
+
+
+def naive_encode_rule(rule) -> str:
+    """Serialize a rewrite rule (lhs/rhs fragments, anchor, name)."""
+    lhs_doc = naive_to_document(rule.lhs.hugr)
+    order = rule.lhs.hugr.preorder()
+    idmap = {old: i for i, old in enumerate(order)}
+    doc = {
+        "name": rule.name,
+        "anchor": idmap[rule.lhs.anchor],
+        "lhs": lhs_doc,
+        "rhs": naive_to_document(rule.rhs),
+    }
+    return json.dumps(doc, separators=(",", ":"))

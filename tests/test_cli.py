@@ -335,3 +335,26 @@ def test_optimize_invalid_replacement_reports_and_writes_nothing(registry, tmp_p
     assert captured.err.startswith("ValidationFailed: ")
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_run_rejects_a_foreign_qubit_type(registry, tmp_path, capsys):
+    from hugr_ir.build import new_module
+    from hugr_ir.ops import Extension, TypeDef
+    from hugr_ir.serial import encode_extension
+    from hugr_ir.types import ExtType, Signature
+
+    other = Extension("other", types=(TypeDef("qubit", linear=True),))
+    qubit = ExtType("other", "qubit")
+    m = new_module(registry)
+    b = m.define_function("main", Signature((qubit,), (qubit,)))
+    b.set_outputs(*b.inputs())
+    prog = tmp_path / "foreign.hugr.json"
+    prog.write_text(encode(m.hugr))
+    ext_file = tmp_path / "other.hugrext.json"
+    ext_file.write_text(encode_extension(other))
+
+    assert main(["run", str(prog), "--entry", "main", "--args", "x",
+                 "--ext", str(ext_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == "cannot parse argument of type other.qubit"

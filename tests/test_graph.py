@@ -206,3 +206,55 @@ def test_hierarchy_stays_a_tree_through_mutations(registry):
     h._assert_tree()
     assert not any(h.is_ancestor(c, h.parent(c)) for c in h.preorder()
                    if h.parent(c) is not None)
+
+
+def test_ops_are_released_with_their_graph(registry):
+    import gc
+    import weakref
+
+    from hugr_ir import decode, validate
+    from hugr_ir.ops import Const, Static
+
+    m = new_module(registry)
+    b = m.define_function("main", Signature((QUBIT,), (QUBIT,)))
+    (q,) = b.inputs()
+    (q,) = b.q("Rz", q, b.const(0.123456789, F64))
+    b.set_outputs(q)
+    h = m.hugr
+    del m, b, q
+    assert validate(h, registry) == []
+    c = h.copy()
+    assert encode(decode(encode(c))) == encode(h)
+    assert h.port_kind(out_port(h.children(main_region(h))[2], 0)) == Static(F64)
+    const = weakref.ref(next(h.op(n) for n in h.preorder() if isinstance(h.op(n), Const)))
+    del h, c
+    gc.collect()
+    assert const() is None
+
+
+def test_copy_shares_port_rows(registry):
+    h = chain_circuit(["H", "X"], registry)
+    c = h.copy()
+    for n in h.preorder():
+        assert c.node(n).rows is h.node(n).rows
+
+
+def test_has_edge_and_disconnect_follow_the_edge_lists(registry):
+    h = chain_circuit(["H", "X"], registry)
+    region = main_region(h)
+    hnode, xnode = h.children(region)[2:4]
+    (edge,) = h.edges_at(out_port(hnode, 0))
+    assert h.has_edge(edge)
+    h.disconnect(edge)
+    assert not h.has_edge(edge)
+    with pytest.raises(GraphError):
+        h.disconnect(edge)
+    again = h.connect(edge.src, edge.dst, edge.kind)
+    assert again == edge and h.has_edge(edge)
+    with pytest.raises(GraphError):
+        h.connect(edge.src, edge.dst, edge.kind)
+    removed = h.remove_node(xnode)
+    assert not h.has_edge(edge)
+    assert sum(e == edge for e in removed.edges) == 1
+    h.restore(removed)
+    assert h.has_edge(edge)

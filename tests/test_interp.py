@@ -134,6 +134,31 @@ class TestUnitaryExtraction:
         # equal to an X rotation by -pi/4 up to global phase
         assert unitary_fidelity(u, _rx(-np.pi / 4)) > 1 - 1e-12
 
+    def test_entry_must_be_a_function_definition(self, registry):
+        h = external_call(registry)
+        with pytest.raises(InterpError, match="no function definition named 'foo'"):
+            unitary_of(h, "foo", registry)
+        with pytest.raises(InterpError, match="no function named 'bar'"):
+            unitary_of(h, "bar", registry)
+
+    def test_invalid_graph_is_rejected(self, registry):
+        from hugr_ir.programs import fanout_rejected
+
+        with pytest.raises(InterpError, match="graph is invalid"):
+            unitary_of(fanout_rejected(registry), "main", registry)
+
+    def test_foreign_qubit_type_is_not_a_qubit(self, registry):
+        from hugr_ir.ops import Extension, TypeDef, register
+        from hugr_ir.types import ExtType
+
+        rich = register(registry, Extension("other", types=(TypeDef("qubit", linear=True),)))
+        qubit = ExtType("other", "qubit")
+        m = new_module(rich)
+        b = m.define_function("main", Signature((qubit,), (qubit,)))
+        b.set_outputs(*b.inputs())
+        with pytest.raises(InterpError, match="all-qubit signature"):
+            unitary_of(m.hugr, "main", rich)
+
     def test_measurement_forbidden(self, registry):
         h = chain_circuit(["H"], registry)
         from generators import main_region

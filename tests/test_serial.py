@@ -155,3 +155,113 @@ def test_float_values_roundtrip_exactly(registry):
     h = random_circuit(rng, n_qubits=2, n_gates=10, registry=registry, p_rz=0.9)
     text = encode(h)
     assert encode(decode(text)) == text
+
+
+# ── the op-term table against the per-kind code it replaced ───────
+
+def _same_op(a, b):
+    assert a == b and repr(a) == repr(b)  # repr tells 1 from 1.0
+
+
+def _assert_as_before(h):
+    from oracles import naive_encode, naive_term_to_op
+    from hugr_ir.serial import term_to_op
+
+    text = encode(h)
+    assert text == naive_encode(h)
+    for rec in json.loads(text)["nodes"]:
+        _same_op(term_to_op(rec["op"]), naive_term_to_op(rec["op"]))
+
+
+def _every_op_kind():
+    from hugr_ir.ops import (
+        BasicBlock, Call, Case, Cfg, Conditional, Const, ExitBlock, ExtensionOp,
+        FuncDef, Input, LoadConst, LoadFunction, Module, Output, TailLoop,
+    )
+    from hugr_ir.types import BOOL, F64, EnumType, ExtType, FunctionType, PolySignature, VarType
+
+    lst = ExtType("acme.list", "list", (F64,))
+    fn = FunctionType(Signature((QUBIT,), (lst,)))
+    ident = PolySignature(1, Signature((VarType(0),), (VarType(0),)))
+    flip = monomorphic((QUBIT,), (QUBIT, BOOL))
+    return [
+        Module(), FuncDef("f", ident), FuncDecl("g", flip),
+        Input((QUBIT, F64, fn)), Output((lst, BOOL)),
+        Call((), flip), Call((lst,), ident),
+        LoadFunction((), flip), LoadFunction((fn,), ident),
+        Const(0.25, F64), Const(2, EnumType(3)), LoadConst(F64),
+        Conditional(3, (QUBIT,), (fn,)), Case(), TailLoop((QUBIT, lst)),
+        Cfg(Signature((QUBIT, F64), (QUBIT,))), BasicBlock((QUBIT,), 2), ExitBlock((lst,)),
+        ExtensionOp("stdlib.quantum", "H", (), Signature((QUBIT,), (QUBIT,))),
+        ExtensionOp("acme.list", "push", (F64,), Signature((lst, F64), (lst,))),
+    ]
+
+
+def test_every_op_kind_encodes_and_decodes_as_before():
+    from oracles import naive_op_to_term, naive_term_to_op
+    from hugr_ir.ops import OpKind
+    from hugr_ir.serial import op_to_term, term_to_op
+
+    ops = _every_op_kind()
+    assert {type(op) for op in ops} == set(OpKind.__subclasses__())
+    h = Hugr()
+    for op in ops:
+        term = op_to_term(op)
+        assert json.dumps(term) == json.dumps(naive_op_to_term(op))
+        _same_op(term_to_op(term), op)
+        _same_op(term_to_op(term), naive_term_to_op(term))
+        h.add_node(op, h.root)
+    _assert_as_before(h)
+    assert json.loads(encode(h))["extensions_required"] == \
+        ["acme.list", "stdlib.classical", "stdlib.quantum"]
+
+
+def test_an_integral_f64_constant_decodes_to_a_float():
+    from oracles import naive_term_to_op
+    from hugr_ir.ops import Const
+    from hugr_ir.serial import term_to_op
+    from hugr_ir.types import F64
+
+    term = {"kind": "Const", "value": 1, "type": {"ext": "stdlib.classical", "name": "f64"}}
+    _same_op(term_to_op(term), naive_term_to_op(term))
+    _same_op(term_to_op(term), Const(1.0, F64))
+
+
+def test_fixtures_and_criterion_6_graphs_encode_as_before(registry):
+    for h in all_programs(registry).values():
+        _assert_as_before(h)
+    rng = np.random.default_rng(66)  # the graphs of criterion 6
+    for i in range(500):
+        if i % 5 == 4:
+            h = random_reducible_cfg(rng, max_blocks=6, registry=registry)
+        else:
+            h = random_circuit(rng, n_qubits=int(rng.integers(1, 5)),
+                               n_gates=int(rng.integers(0, 30)),
+                               registry=registry, p_measure=0.1)
+        _assert_as_before(h)
+
+
+def test_rules_encode_as_before(registry):
+    from oracles import naive_encode_rule
+    from hugr_ir.rules import standard_rules
+    from hugr_ir.serial import encode_rule
+
+    from generators import perf_setup
+
+    _, commuting, _ = perf_setup(n_rules=10, n_gates=20)
+    for rule in standard_rules(registry) + commuting:
+        assert encode_rule(rule) == naive_encode_rule(rule)
+
+
+@pytest.mark.parametrize("term", [
+    {"kind": "Conditional", "cardinality": "x", "inputs": [], "outputs": []},
+    {"kind": "BasicBlock", "inputs": [], "successors": "two"},
+    {"kind": "LoadConst", "type": {"enum": 0}},
+    {"kind": "FuncDecl", "name": "f",
+     "scheme": {"params": 0, "inputs": [{"var": 0}], "outputs": []}},
+], ids=["cardinality", "successors", "enum", "unbound-var"])
+def test_malformed_op_terms_are_decode_errors(term):
+    doc = json.loads(encode(Hugr()))
+    doc["nodes"].append({"id": 1, "parent": 0, "op": term})
+    with pytest.raises(DecodeError):
+        decode(json.dumps(doc))
