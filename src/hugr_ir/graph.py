@@ -21,7 +21,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Callable, TypeVar
 
-from .ops import ControlFlow, OpKind, PortKind, Static, Value, port_rows
+from .ops import ControlFlow, OpKind, PortKind, Static, Value
 
 
 T = TypeVar("T")
@@ -74,17 +74,18 @@ class Node:
     # one edge list per port, in insertion order
     in_edges: list[list[Edge]] = field(default_factory=list)
     out_edges: list[list[Edge]] = field(default_factory=list)
-    # (incoming, outgoing) port kinds of ``op``, computed once per node
-    rows: tuple[tuple[PortKind, ...], tuple[PortKind, ...]] = ()
 
     def __post_init__(self) -> None:
-        if not self.rows:
-            self.rows = port_rows(self.op)
         ins, outs = self.rows
         if not self.in_edges:
             self.in_edges = [[] for _ in ins]
         if not self.out_edges:
             self.out_edges = [[] for _ in outs]
+
+    @property
+    def rows(self) -> tuple[tuple[PortKind, ...], tuple[PortKind, ...]]:
+        """(incoming, outgoing) port kinds of ``op``, shared by its nodes."""
+        return self.op.rows
 
 
 @dataclass
@@ -159,11 +160,15 @@ class Hugr:
         return row[port.offset]
 
     def edges_at(self, port: Port) -> list[Edge]:
+        return list(self._edge_list(port))
+
+    def _edge_list(self, port: Port) -> list[Edge]:
+        """The edges recorded at ``port`` (the list itself, not a copy)."""
         node = self.node(port.node)
         row = node.in_edges if port.direction is Direction.IN else node.out_edges
         if not 0 <= port.offset < len(row):
             raise GraphError(f"port {port!r} out of range for {node.op!r}")
-        return list(row[port.offset])
+        return row[port.offset]
 
     def neighbours(self, port: Port) -> list[Port]:
         """Ports connected to ``port`` by any edge, in insertion order."""
@@ -216,13 +221,12 @@ class Hugr:
         port range and duplication are checked here."""
         if src.direction is not Direction.OUT or dst.direction is not Direction.IN:
             raise GraphError(f"edge must run outgoing -> incoming, got {src!r} -> {dst!r}")
-        self.port_kind(src)
-        self.port_kind(dst)
+        outs, ins = self._edge_list(src), self._edge_list(dst)
         edge = Edge(src, dst, kind)
-        if self.has_edge(edge):
+        if edge in (ins if len(ins) <= len(outs) else outs):
             raise GraphError(f"duplicate edge {src!r} -> {dst!r}")
-        self._nodes[src.node].out_edges[src.offset].append(edge)
-        self._nodes[dst.node].in_edges[dst.offset].append(edge)
+        outs.append(edge)
+        ins.append(edge)
         self.version += 1
         return edge
 
@@ -330,7 +334,7 @@ class Hugr:
         for nid, nd in self._nodes.items():
             h._nodes[nid] = Node(nd.id, nd.parent, nd.op, list(nd.children),
                                  [list(es) for es in nd.in_edges],
-                                 [list(es) for es in nd.out_edges], nd.rows)
+                                 [list(es) for es in nd.out_edges])
         return h
 
 

@@ -6,17 +6,26 @@ is an :class:`ExtensionOp` resolved against a :class:`Registry`, so passes that
 do not know an operation can still reason about the graph around it. Extension
 ops therefore carry their concrete signature alongside the (extension, name)
 reference; validation cross-checks the two.
+
+Ops and port kinds are interned like types (see :mod:`hugr_ir.types`): one
+live object per distinct value, compared and hashed by identity. A ``Const``
+of type ``F64`` stores its value as a float, so ``Const(1, F64)`` is
+``Const(1.0, F64)``; other constants keep the exact value given, so
+``Const(1, I64)`` and ``Const(1.0, I64)`` stay two ops. Each op computes its
+port rows once, on first use, and every node holding it shares them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .types import (
     BOOL,
     F64,
     QUBIT,
     EnumType,
+    Interned,
     PolySignature,
     Signature,
     Type,
@@ -32,17 +41,22 @@ class OpError(Exception):
     """Raised for unresolvable or ill-parametrised operations."""
 
 
-@dataclass(frozen=True)
-class OpKind:
+@dataclass(frozen=True, eq=False)
+class OpKind(Interned):
     """Base class for node operations."""
 
+    @cached_property
+    def rows(self) -> tuple[tuple[PortKind, ...], tuple[PortKind, ...]]:
+        """Full (incoming, outgoing) port rows, computed once per op."""
+        return port_rows(self)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class Module(OpKind):
     """Root namespace holding function definitions and declarations."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FuncDef(OpKind):
     """Function defined by a child dataflow region."""
 
@@ -50,7 +64,7 @@ class FuncDef(OpKind):
     scheme: PolySignature
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FuncDecl(OpKind):
     """External function reference, linked with a definition later."""
 
@@ -58,21 +72,21 @@ class FuncDecl(OpKind):
     scheme: PolySignature
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Input(OpKind):
     """Source of a dataflow region; one output port per region input."""
 
     types: tuple[Type, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Output(OpKind):
     """Sink of a dataflow region; one input port per region output."""
 
     types: tuple[Type, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Call(OpKind):
     """Call a statically known function at a concrete instantiation."""
 
@@ -80,7 +94,7 @@ class Call(OpKind):
     scheme: PolySignature
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LoadFunction(OpKind):
     """Turn a static function into a runtime function value."""
 
@@ -88,22 +102,28 @@ class LoadFunction(OpKind):
     scheme: PolySignature
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Const(OpKind):
     """Compile-time constant emitted on a static edge."""
 
     value: ConstValue
     type: Type
 
+    @staticmethod
+    def _canonical(args: tuple) -> tuple:
+        value, ty = args
+        # f64 constants are floats even when written as integers
+        return (float(value), ty) if ty is F64 and type(value) is not float else args
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class LoadConst(OpKind):
     """Turn a static constant into a runtime value."""
 
     type: Type
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Conditional(OpKind):
     """Branch between case regions on an enum discriminant (input port 0)."""
 
@@ -112,26 +132,26 @@ class Conditional(OpKind):
     outputs: tuple[Type, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Case(OpKind):
     """One branch body of a conditional; all data flows via the parent's ports."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TailLoop(OpKind):
     """Loop whose body emits a leading bool: true = finished, false = repeat."""
 
     loop_vars: tuple[Type, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cfg(OpKind):
     """Unstructured control flow over child basic blocks."""
 
     signature: Signature
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BasicBlock(OpKind):
     """CFG block; its body emits a leading enum picking the successor."""
 
@@ -139,14 +159,14 @@ class BasicBlock(OpKind):
     successor_count: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExitBlock(OpKind):
     """Unique exit of a CFG; carries the CFG's output row."""
 
     outputs: tuple[Type, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExtensionOp(OpKind):
     """Registry-defined operation at a concrete instantiation.
 
@@ -163,26 +183,26 @@ class ExtensionOp(OpKind):
 
 # ── Port rows ──────────────────────────────────────────────────────
 
-@dataclass(frozen=True)
-class PortKind:
+@dataclass(frozen=True, eq=False)
+class PortKind(Interned):
     """What an edge or port carries."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Value(PortKind):
     """Runtime value of a given type."""
 
     type: Type
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Static(PortKind):
     """Compile-time value: a constant's type or a function scheme."""
 
     payload: Type | PolySignature
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ControlFlow(PortKind):
     """Control-flow successor link between basic blocks."""
 

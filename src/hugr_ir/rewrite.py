@@ -57,14 +57,8 @@ def _is_wildcard(op) -> bool:
 
 def _op_matches(pattern_op, host_op) -> bool:
     if _is_wildcard(pattern_op):
-        return value_signature(pattern_op) == value_signature(host_op)
-    if type(pattern_op) is not type(host_op):
-        return False
-    if isinstance(pattern_op, ExtensionOp):
-        # cheap discriminators first; the deep compare is the common failure cost
-        if pattern_op.name != host_op.name or pattern_op.extension != host_op.extension:
-            return False
-    return pattern_op == host_op
+        return value_signature(pattern_op) is value_signature(host_op)
+    return pattern_op is host_op  # ops are interned
 
 
 @dataclass

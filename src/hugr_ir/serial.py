@@ -6,6 +6,15 @@ bytes regardless of construction history. ``encode(decode(encode(h)))`` is
 byte-for-byte ``encode(h)``. Canonical equality doubles as the structural
 equality oracle used by tests.
 
+Ops and types are interned, so a document repeats few distinct terms. The
+encoder writes each distinct op and edge kind once and shares its term
+between records. The decoder keeps a memo per document, keyed by the
+``marshal`` bytes of each op term and edge kind and type term, so each
+distinct term is read once. Those bytes keep JSON ``1``, ``1.0`` and
+``true`` apart, and ``0.0`` from ``-0.0``. Every malformed term raises
+:class:`DecodeError` naming its place in the document, such as
+``edges[3].type``.
+
 File conventions: ``.hugr.json`` for graphs, ``.hugrext.json`` for extension
 declarations, ``.hugrrule.json`` for rewrite rules.
 """
@@ -13,10 +22,11 @@ declarations, ``.hugrrule.json`` for rewrite rules.
 from __future__ import annotations
 
 import json
+import marshal
 import warnings
 from typing import Any, Callable, Iterable, NamedTuple
 
-from .graph import Direction, Hugr, Port
+from .graph import Direction, GraphError, Hugr, Port
 from .ops import (
     BasicBlock,
     Call,
@@ -35,8 +45,10 @@ from .ops import (
     LoadFunction,
     Module,
     OpDef,
+    OpError,
     OpKind,
     Output,
+    PortKind,
     Static,
     TailLoop,
     TypeDef,
@@ -45,7 +57,6 @@ from .ops import (
 from .types import (
     EnumType,
     ExtType,
-    F64,
     FunctionType,
     PolySignature,
     Signature,
@@ -59,6 +70,18 @@ FORMAT_VERSION = 1
 
 class DecodeError(Exception):
     pass
+
+
+# what a malformed term raises before it is wrapped in a DecodeError
+_MALFORMED = (KeyError, TypeError, ValueError, OverflowError, RecursionError, TypeError_)
+
+
+def _term_key(term: Any) -> bytes:
+    """The exact JSON value of ``term``, as a memo key."""
+    try:
+        return marshal.dumps(term, 2)  # version 2 writes no back-references
+    except ValueError:
+        raise DecodeError(f"not a JSON term: {term!r}") from None
 
 
 # ── type terms ─────────────────────────────────────────────────────
@@ -79,17 +102,19 @@ def type_to_term(t: Type) -> Any:
 
 
 def term_to_type(term: Any) -> Type:
-    if not isinstance(term, dict):
-        raise DecodeError(f"malformed type term {term!r}")
-    if "ext" in term:
-        args = tuple(term_to_type(a) for a in term.get("args", []))
-        return ExtType(term["ext"], term["name"], args)
-    if "enum" in term:
-        return EnumType(int(term["enum"]))
-    if "fn" in term:
-        return FunctionType(_term_to_sig(term["fn"]))
-    if "var" in term:
-        return VarType(int(term["var"]))
+    if isinstance(term, dict):
+        try:
+            if "ext" in term:
+                return ExtType(_str(term["ext"]), _str(term["name"]),
+                               _term_to_row(term.get("args", ())))
+            if "enum" in term:
+                return EnumType(int(term["enum"]))
+            if "fn" in term:
+                return FunctionType(_term_to_sig(term["fn"]))
+            if "var" in term:
+                return VarType(int(term["var"]))
+        except _MALFORMED as exc:
+            raise DecodeError(f"malformed type term {term!r}: {exc}") from exc
     raise DecodeError(f"malformed type term {term!r}")
 
 
@@ -108,7 +133,7 @@ def _sig_to_term(sig: Signature) -> Any:
 def _term_to_sig(term: Any) -> Signature:
     try:
         return Signature(_term_to_row(term["inputs"]), _term_to_row(term["outputs"]))
-    except (KeyError, TypeError) as exc:
+    except _MALFORMED as exc:
         raise DecodeError(f"malformed signature {term!r}") from exc
 
 
@@ -119,20 +144,8 @@ def scheme_to_term(s: PolySignature) -> Any:
 def term_to_scheme(term: Any) -> PolySignature:
     try:
         return PolySignature(int(term["params"]), _term_to_sig(term))
-    except (KeyError, TypeError, ValueError, TypeError_) as exc:
+    except _MALFORMED as exc:
         raise DecodeError(f"malformed signature scheme {term!r}") from exc
-
-
-def _payload_to_term(payload: Type | PolySignature) -> Any:
-    if isinstance(payload, PolySignature):
-        return scheme_to_term(payload)
-    return type_to_term(payload)
-
-
-def _term_to_payload(term: Any) -> Type | PolySignature:
-    if isinstance(term, dict) and "params" in term:
-        return term_to_scheme(term)
-    return term_to_type(term)
 
 
 # ── op terms ───────────────────────────────────────────────────────
@@ -149,11 +162,18 @@ def _same(value: Any) -> Any:
     return value
 
 
+def _str(value: Any) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
 def _no_types(value: Any) -> tuple[Type, ...]:
     return ()
 
 
 _AS_IS = _Codec(_same, _same, _no_types)
+_STR = _Codec(_same, _str, _no_types)
 _INT = _Codec(_same, int, _no_types)
 _TYPE = _Codec(type_to_term, term_to_type, lambda t: (t,))
 _ROW = _Codec(_row, _term_to_row, _same)
@@ -176,8 +196,8 @@ _TYPE_ARGS = _Field("type_args", "type_args", _ROW, optional=True)
 # Every op kind: its "kind" name, class and fields, in canonical key order.
 _OP_TERMS: tuple[tuple[str, type[OpKind], tuple[_Field, ...]], ...] = (
     ("Module", Module, ()),
-    ("FuncDef", FuncDef, (_Field("name", "name", _AS_IS), _Field("scheme", "scheme", _SCHEME))),
-    ("FuncDecl", FuncDecl, (_Field("name", "name", _AS_IS), _Field("scheme", "scheme", _SCHEME))),
+    ("FuncDef", FuncDef, (_Field("name", "name", _STR), _Field("scheme", "scheme", _SCHEME))),
+    ("FuncDecl", FuncDecl, (_Field("name", "name", _STR), _Field("scheme", "scheme", _SCHEME))),
     ("Input", Input, (_Field("types", "types", _ROW),)),
     ("Output", Output, (_Field("types", "types", _ROW),)),
     ("Call", Call, (_Field("scheme", "scheme", _SCHEME), _TYPE_ARGS)),
@@ -193,8 +213,8 @@ _OP_TERMS: tuple[tuple[str, type[OpKind], tuple[_Field, ...]], ...] = (
     ("BasicBlock", BasicBlock, (_Field("inputs", "inputs", _ROW),
                                 _Field("successors", "successor_count", _INT))),
     ("ExitBlock", ExitBlock, (_Field("outputs", "outputs", _ROW),)),
-    ("ExtensionOp", ExtensionOp, (_Field("ext", "extension", _AS_IS),
-                                  _Field("name", "name", _AS_IS),
+    ("ExtensionOp", ExtensionOp, (_Field("ext", "extension", _STR),
+                                  _Field("name", "name", _STR),
                                   _Field("signature", "signature", _SIG), _TYPE_ARGS)),
 )
 _BY_CLASS = {cls: (kind, fields) for kind, cls, fields in _OP_TERMS}
@@ -236,18 +256,14 @@ def term_to_op(term: Any) -> OpKind:
             else:
                 raw = term[key]
             args[attr] = codec.decode(raw)
-        # f64 constants evaluate as floats even when written as JSON integers
-        if cls is Const and args["type"] == F64:
-            args["value"] = float(args["value"])
-        return cls(**args)
-    except (KeyError, TypeError, ValueError, TypeError_) as exc:
+        op = cls(**args)
+        op.rows  # a call with the wrong number of type arguments fails here
+        return op
+    except _MALFORMED as exc:
         raise DecodeError(f"malformed {kind} term: {exc}") from exc
 
 
 # ── envelopes ──────────────────────────────────────────────────────
-
-_KIND_NAMES = {"Value": Value, "Static": Static, "ControlFlow": ControlFlow}
-
 
 def _collect_extensions(ops: Iterable[OpKind]) -> list[str]:
     exts: set[str] = set()
@@ -267,34 +283,65 @@ def _collect_extensions(ops: Iterable[OpKind]) -> list[str]:
     return sorted(exts)
 
 
+def _kind_to_term(kind: PortKind) -> tuple[str, Any]:
+    """An edge kind's ``"kind"`` name and ``"type"`` term (None if it has none)."""
+    if isinstance(kind, Value):
+        return "Value", type_to_term(kind.type)
+    if isinstance(kind, Static):
+        p = kind.payload
+        return "Static", scheme_to_term(p) if isinstance(p, PolySignature) else type_to_term(p)
+    return type(kind).__name__, None
+
+
+def _term_to_kind(name: Any, term: Any) -> PortKind:
+    if name == "Value":
+        return Value(term_to_type(term))
+    if name == "Static":
+        scheme = isinstance(term, dict) and "params" in term
+        return Static(term_to_scheme(term) if scheme else term_to_type(term))
+    if name == "ControlFlow":
+        return ControlFlow()
+    raise DecodeError(f"unknown edge kind {name!r}")
+
+
 def to_document(h: Hugr) -> dict[str, Any]:
-    """The canonical JSON document for a graph."""
+    """The canonical JSON document for a graph.
+
+    Records with the same op, or the same edge type, share one term object.
+    """
     order = h.preorder()
     idmap = {old: i for i, old in enumerate(order)}
+    op_terms: dict[OpKind, Any] = {}
+    kind_terms: dict[PortKind, tuple[str, Any]] = {}
     nodes = []
-    for old in order:
-        nd = h.node(old)
-        nodes.append({
-            "id": idmap[old],
-            "parent": None if nd.parent is None else idmap[nd.parent],
-            "op": op_to_term(nd.op),
-        })
     edges = []
-    for e in h.all_edges():
-        rec: dict[str, Any] = {
-            "src": [idmap[e.src.node], e.src.offset],
-            "dst": [idmap[e.dst.node], e.dst.offset],
-            "kind": type(e.kind).__name__,
-        }
-        if isinstance(e.kind, Value):
-            rec["type"] = type_to_term(e.kind.type)
-        elif isinstance(e.kind, Static):
-            rec["type"] = _payload_to_term(e.kind.payload)
-        edges.append(rec)
+    for i, old in enumerate(order):
+        nd = h.node(old)
+        term = op_terms.get(nd.op)
+        if term is None:
+            term = op_terms[nd.op] = op_to_term(nd.op)
+        nodes.append({
+            "id": i,
+            "parent": None if nd.parent is None else idmap[nd.parent],
+            "op": term,
+        })
+        for offset, out in enumerate(nd.out_edges):
+            for e in out:
+                kind = kind_terms.get(e.kind)
+                if kind is None:
+                    kind = kind_terms[e.kind] = _kind_to_term(e.kind)
+                rec: dict[str, Any] = {
+                    "src": [i, offset],
+                    "dst": [idmap[e.dst.node], e.dst.offset],
+                    "kind": kind[0],
+                }
+                if kind[1] is not None:
+                    rec["type"] = kind[1]
+                edges.append(rec)
     edges.sort(key=lambda r: (r["src"][0], r["src"][1], r["dst"][0], r["dst"][1], r["kind"]))
     return {
         "version": FORMAT_VERSION,
-        "extensions_required": _collect_extensions(h.op(n) for n in order),
+        "extensions_required": _collect_extensions(op_terms),
         "nodes": nodes,
         "edges": edges,
     }
@@ -324,17 +371,27 @@ def _from_document_mapped(doc: Any) -> tuple[Hugr, dict[int, int]]:
     except (KeyError, TypeError) as exc:
         raise DecodeError(f"document is missing nodes/edges: {exc}") from exc
 
-    by_id: dict[int, Any] = {}
+    ops: dict[bytes, OpKind] = {}  # this document's op terms, by _term_key
+    by_id: dict[int, OpKind] = {}
     children: dict[int | None, list[int]] = {}
-    for rec in node_recs:
+    for i, rec in enumerate(node_recs):
         try:
-            nid, parent = int(rec["id"]), rec["parent"]
-        except (KeyError, TypeError) as exc:
-            raise DecodeError(f"malformed node record {rec!r}") from exc
+            nid, parent, term = int(rec["id"]), rec["parent"], rec["op"]
+            if parent is not None:
+                parent = int(parent)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise DecodeError(f"nodes[{i}]: malformed node record {rec!r}") from exc
         if nid in by_id:
-            raise DecodeError(f"duplicate node id {nid}")
-        by_id[nid] = rec
-        children.setdefault(None if parent is None else int(parent), []).append(nid)
+            raise DecodeError(f"nodes[{i}]: duplicate node id {nid}")
+        try:
+            key = _term_key(term)
+            op = ops.get(key)
+            if op is None:
+                op = ops[key] = term_to_op(term)
+        except DecodeError as exc:
+            raise DecodeError(f"nodes[{i}].op: {exc}") from exc
+        by_id[nid] = op
+        children.setdefault(parent, []).append(nid)
 
     roots = children.get(None, [])
     if len(roots) != 1:
@@ -343,44 +400,45 @@ def _from_document_mapped(doc: Any) -> tuple[Hugr, dict[int, int]]:
         if parent is not None and parent not in by_id:
             raise DecodeError(f"node references unknown parent {parent}")
 
-    h = Hugr(term_to_op(by_id[roots[0]]["op"]))
+    h = Hugr(by_id[roots[0]])
     idmap = {roots[0]: h.root}
     stack = [(c, h.root) for c in reversed(children.get(roots[0], []))]
     while stack:
         nid, parent = stack.pop()
-        new = h.add_node(term_to_op(by_id[nid]["op"]), parent)
+        new = h.add_node(by_id[nid], parent)
         idmap[nid] = new
         stack.extend((c, new) for c in reversed(children.get(nid, [])))
     if len(idmap) != len(by_id):
         raise DecodeError("hierarchy contains unreachable nodes (parent cycle?)")
 
-    for rec in edge_recs:
+    kinds: dict[bytes, PortKind] = {}  # this document's edge kind and type terms
+    for i, rec in enumerate(edge_recs):
         try:
             (sn, so), (dn, do) = rec["src"], rec["dst"]
-            kind_cls = _KIND_NAMES[rec["kind"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DecodeError(f"malformed edge record {rec!r}") from exc
-        if int(sn) not in idmap or int(dn) not in idmap:
-            raise DecodeError(f"edge references unknown node in {rec!r}")
-        if kind_cls is Value:
-            kind = Value(term_to_type(rec["type"]))
-        elif kind_cls is Static:
-            kind = Static(_term_to_payload(rec["type"]))
-        else:
-            kind = ControlFlow()
-        src = Port(idmap[int(sn)], Direction.OUT, int(so))
-        dst = Port(idmap[int(dn)], Direction.IN, int(do))
+            sn, so, dn, do = int(sn), int(so), int(dn), int(do)
+            name, term = rec["kind"], rec.get("type")
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise DecodeError(f"edges[{i}]: malformed edge record {rec!r}") from exc
+        if sn not in idmap or dn not in idmap:
+            raise DecodeError(f"edges[{i}]: edge references unknown node in {rec!r}")
         try:
-            h.connect(src, dst, kind)
-        except Exception as exc:
-            raise DecodeError(f"cannot connect {rec!r}: {exc}") from exc
+            key = _term_key((name, term))
+            kind = kinds.get(key)
+            if kind is None:
+                kind = kinds[key] = _term_to_kind(name, term)
+        except DecodeError as exc:
+            raise DecodeError(f"edges[{i}].type: {exc}") from exc
+        try:
+            h.connect(Port(idmap[sn], Direction.OUT, so), Port(idmap[dn], Direction.IN, do), kind)
+        except GraphError as exc:
+            raise DecodeError(f"edges[{i}]: cannot connect {rec!r}: {exc}") from exc
     return h, idmap
 
 
 def decode(text: str) -> Hugr:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DecodeError(f"not valid JSON: {exc}") from exc
     return from_document(doc)
 
@@ -412,7 +470,7 @@ def decode_extension(text: str) -> Extension:
             tuple(OpDef(o["name"], term_to_scheme(o["scheme"]), o.get("doc", ""))
                   for o in doc.get("ops", [])),
         )
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, OpError) as exc:
         raise DecodeError(f"malformed extension declaration: {exc}") from exc
 
 
@@ -441,7 +499,7 @@ def decode_rule(text: str):
         rhs = from_document(doc["rhs"])
         anchor_doc_id = int(doc["anchor"])
         name = doc["name"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DecodeError(f"malformed rule file: {exc}") from exc
     if anchor_doc_id not in lhs_map:
         raise DecodeError(f"rule anchor {anchor_doc_id} is not a node of the lhs")

@@ -4,12 +4,23 @@ Every edge in a graph carries a type. Types are immutable values; linearity
 (use-exactly-once) is a property of the type's definition, never of the port
 it flows through. Function and enum types are always copyable. Polymorphic
 signatures bind type variables by de Bruijn index.
+
+Types, signatures and schemes are hash-consed (Filliâtre & Conchon, *Type-Safe
+Modular Hash-Consing*, 2006): constructing one returns the single live object
+with exactly those field values, held in a weak table, whether the fields are
+given positionally, by keyword or by default. Equality and hashing are
+therefore identity. "Exactly" tells ``1`` from ``1.0`` from ``True`` and
+``0.0`` from ``-0.0``, so no two values that print differently are merged.
+Ops share the table (:mod:`hugr_ir.ops`); a class may normalise its fields
+before the lookup, as ``Const`` turns an integral ``F64`` value into a float.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
     from .ops import Registry
@@ -19,12 +30,54 @@ class TypeError_(Exception):
     """Raised for ill-formed or unresolvable types."""
 
 
-@dataclass(frozen=True)
-class Type:
+# every live interned object, by (class, exact field values, field value classes)
+_INSTANCES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_INSERTING = threading.Lock()  # two threads must not both add one value
+
+
+class _Interning(type):
+    """Metaclass whose call returns the live instance with equal fields."""
+
+    def __call__(cls, *args: Any, **kwargs: Any) -> Any:
+        names = cls.__dataclass_fields__
+        if kwargs or len(args) != len(names):
+            # bind keywords and defaults as the dataclass __init__ does
+            proto = super().__call__(*args, **kwargs)
+            args = tuple(getattr(proto, name) for name in names)
+        args = cls._canonical(args)
+        kinds = tuple(map(type, args))
+        exact = args
+        if float in kinds:  # 0.0 == -0.0, but they are different constants
+            exact = tuple(a.hex() if type(a) is float else a for a in args)
+        key = (cls, exact, kinds)
+        obj = _INSTANCES.get(key)
+        if obj is None:
+            with _INSERTING:
+                obj = _INSTANCES.get(key)
+                if obj is None:
+                    obj = _INSTANCES[key] = super().__call__(*args)
+        return obj
+
+
+class Interned(metaclass=_Interning):
+    """Base of hash-consed frozen dataclasses declared with ``eq=False``."""
+
+    @staticmethod
+    def _canonical(args: tuple) -> tuple:
+        """The field values to store, given the constructor's."""
+        return args
+
+    def __reduce__(self) -> tuple:
+        # copies and unpickled objects go through the table too
+        return type(self), tuple(getattr(self, name) for name in self.__dataclass_fields__)
+
+
+@dataclass(frozen=True, eq=False)
+class Type(Interned):
     """Base class for edge types."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExtType(Type):
     """A type defined by an extension, e.g. ``stdlib.quantum.qubit``."""
 
@@ -37,7 +90,7 @@ class ExtType(Type):
         return f"{self.extension}.{self.name}{args}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnumType(Type):
     """Finite enumeration with tags ``0 .. cardinality-1``. ``EnumType(2)`` is bool."""
 
@@ -51,7 +104,7 @@ class EnumType(Type):
         return "bool" if self.cardinality == 2 else f"enum({self.cardinality})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FunctionType(Type):
     """A runtime function value. Always monomorphic."""
 
@@ -61,7 +114,7 @@ class FunctionType(Type):
         return f"fn{self.signature!r}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VarType(Type):
     """Type variable, a de Bruijn index into the enclosing polymorphic scheme."""
 
@@ -71,8 +124,8 @@ class VarType(Type):
         return f"var{self.index}"
 
 
-@dataclass(frozen=True)
-class Signature:
+@dataclass(frozen=True, eq=False)
+class Signature(Interned):
     """Ordered input and output rows of an operation or function."""
 
     inputs: tuple[Type, ...] = ()
@@ -84,8 +137,8 @@ class Signature:
         return f"({ins} -> {outs})"
 
 
-@dataclass(frozen=True)
-class PolySignature:
+@dataclass(frozen=True, eq=False)
+class PolySignature(Interned):
     """A signature scheme abstracted over ``param_count`` type variables."""
 
     param_count: int

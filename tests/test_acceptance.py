@@ -154,6 +154,7 @@ def test_criterion_4_structuring_equivalence(registry):
           f"({checked} scripts, 100 random CFGs x 20 runs)")
 
 
+@pytest.mark.slow
 def test_criterion_5_rewrite_soundness(registry):
     """Saturating the stock rule set on 200 random circuits keeps every
     intermediate valid and preserves the unitary to 1 - 1e-9; the matcher

@@ -217,6 +217,7 @@ class TestOutcomes:
         with pytest.raises(ImpossibleOutcome):
             it.run("main", [q])
 
+    @pytest.mark.slow
     def test_born_statistics(self, registry):
         """10^5 seeded shots of measuring H|0>."""
         m = new_module(registry)

@@ -164,3 +164,39 @@ def test_extension_declaration_file_roundtrip(registry):
     r2 = register(registry, again)
     assert signature_of(ext_op(r2, "acme.gadgets", "frob"), r2) == \
         Signature((QUBIT,), (QUBIT,))
+
+
+# ── interning ──────────────────────────────────────────────────────
+
+def test_ops_are_one_object_however_constructed():
+    from hugr_ir.ops import Value
+
+    h_sig = Signature((QUBIT,), (QUBIT,))
+    h = ExtensionOp("stdlib.quantum", "H", (), h_sig)
+    assert ExtensionOp(extension="stdlib.quantum", name="H", signature=h_sig) is h
+    assert ExtensionOp("stdlib.quantum", "H", signature=h_sig, type_args=()) is h
+    assert ExtensionOp("stdlib.quantum", "H") is ExtensionOp("stdlib.quantum", "H", (), Signature())
+    assert Value(QUBIT) is Value(type=QUBIT)
+    assert Const(0.5, F64) is Const(value=0.5, type=F64)
+    assert Module() is Module()
+
+
+def test_constants_are_keyed_exactly():
+    from hugr_ir.types import I64
+
+    ops = [Const(0.0, F64), Const(-0.0, F64), Const(1, I64), Const(1.0, I64),
+           Const(True, I64), Const(1, BOOL), Const(True, BOOL)]
+    assert len(set(ops)) == len(ops)
+    assert [repr(op.value) for op in ops] == ["0.0", "-0.0", "1", "1.0", "True", "1", "True"]
+    assert Const(-0.0, F64) is ops[1] and Const(1.0, I64) is ops[3]
+
+
+def test_an_integral_f64_constant_is_stored_as_a_float():
+    assert Const(1, F64) is Const(1.0, F64)
+    assert type(Const(2, F64).value) is float and Const(2, F64).value == 2.0
+    assert type(Const(True, F64).value) is float
+
+
+def test_port_rows_are_computed_once_per_op():
+    op = Call((F64,), PolySignature(1, Signature((VarType(0),), (VarType(0),))))
+    assert op.rows is op.rows == port_rows(op)

@@ -1,6 +1,7 @@
 """Canonical serialization: roundtrips, tolerant decoding, error paths."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from hugr_ir import Hugr, decode, encode, register, stdlib, structurally_equal
 from hugr_ir.ops import Extension, FuncDecl, OpDef, monomorphic
 from hugr_ir.programs import all_programs, external_call, rus_cfg
-from hugr_ir.serial import DecodeError
+from hugr_ir.serial import DecodeError, from_document
 from hugr_ir.types import QUBIT, Signature
 from hugr_ir.validate import Code, validate
 
@@ -265,3 +266,98 @@ def test_malformed_op_terms_are_decode_errors(term):
     doc["nodes"].append({"id": 1, "parent": 0, "op": term})
     with pytest.raises(DecodeError):
         decode(json.dumps(doc))
+
+
+# ── interned ops and the per-document term memo ───────────────────
+
+def _constants_graph():
+    from hugr_ir.ops import Const
+    from hugr_ir.types import BOOL, F64, I64
+
+    h = Hugr()
+    ops = [Const(0.0, F64), Const(-0.0, F64), Const(1, I64), Const(1.0, I64),
+           Const(True, I64), Const(1, BOOL), Const(True, BOOL), Const(1.0, I64)]
+    for op in ops:
+        h.add_node(op, h.root)
+    return h, ops
+
+
+def test_constants_that_print_differently_stay_distinct():
+    h, ops = _constants_graph()
+    text = encode(h)
+    values = [n["op"]["value"] for n in json.loads(text)["nodes"][1:]]
+    assert [json.dumps(v) for v in values] == \
+        ["0.0", "-0.0", "1", "1.0", "true", "1", "true", "1.0"]
+    again = decode(text)
+    assert encode(again) == text
+    assert [again.op(n) for n in again.children(again.root)] == ops
+    assert len({id(op) for op in ops}) == 7
+
+
+def test_decoded_terms_are_memoised_exactly():
+    h, _ = _constants_graph()
+    doc = json.loads(encode(h))
+    # the same constants read from terms the encoder did not write
+    for rec, value in zip(doc["nodes"][1:], [0, -0.0, 1, 1.0, True, 1, True, 1.0]):
+        rec["op"] = dict(rec["op"], value=value)
+    again = from_document(doc)
+    reread = [again.op(n) for n in again.children(again.root)]
+    assert [repr(op.value) for op in reread] == \
+        ["0.0", "-0.0", "1", "1.0", "True", "1", "True", "1.0"]
+    assert reread[3] is reread[7]
+
+
+def test_integral_f64_constants_encode_canonically(registry):
+    from hugr_ir.build import new_module
+    from hugr_ir.types import F64
+
+    m = new_module(registry)
+    b = m.define_function("main", Signature((QUBIT,), (QUBIT,)))
+    (q,) = b.inputs()
+    (q,) = b.q("Rz", q, b.const(1, F64))
+    b.set_outputs(q)
+    text = encode(m.hugr)
+    assert '"value":1.0' in text
+    assert encode(decode(text)) == text
+
+
+def test_equal_ops_share_one_rows_object(registry):
+    from generators import chain_circuit
+
+    h = decode(encode(chain_circuit(["H", "X", "H"], registry)))
+    first, _, third = h.children(main_region(h))[2:5]
+    assert h.op(first) is h.op(third)
+    assert h.node(first).rows is h.node(third).rows
+
+
+@pytest.mark.parametrize("place,junk,where", [
+    (("nodes", 1, "parent"), [0], "nodes[1]"),
+    (("nodes", 3, "op", "types", 0), {"enum": 0}, "nodes[3].op"),
+    (("edges", 0, "src"), ["a", 0], "edges[0]"),
+    (("edges", 0, "type"), {"ext": "stdlib.quantum"}, "edges[0].type"),
+], ids=["parent", "op", "src", "type"])
+def test_decode_errors_name_the_bad_term(registry, place, junk, where):
+    doc = json.loads(encode(external_call(registry)))
+    *path, key = place
+    target = doc
+    for k in path:
+        target = target[k]
+    target[key] = junk
+    with pytest.raises(DecodeError, match=rf"^{re.escape(where)}: "):
+        from_document(doc)
+
+
+def test_malformed_extension_and_rule_files_are_decode_errors(registry):
+    from hugr_ir.ops import QUANTUM_EXTENSION
+    from hugr_ir.rules import standard_rules
+    from hugr_ir.serial import decode_extension, decode_rule, encode_extension, encode_rule
+
+    ext = json.loads(encode_extension(QUANTUM_EXTENSION))
+    ext["types"][0]["arity"] = "x"
+    op = {"name": "f", "scheme": {"params": 0, "inputs": [], "outputs": []}}
+    twice = {"id": "a", "ops": [op, op]}
+    rule = json.loads(encode_rule(standard_rules(registry)[0]))
+    rule["anchor"] = "x"
+    for read, doc in [(decode_extension, ext), (decode_extension, twice), (decode_rule, rule)]:
+        with pytest.raises(DecodeError):
+            read(json.dumps(doc))

@@ -365,6 +365,7 @@ def _check_against_cfg(structured, original, registry):
     assert state_fidelity(got[1], want[1]) >= 1 - 1e-9
 
 
+@pytest.mark.slow
 class TestScale:
     """CFGs far deeper than Python's recursion limit in blocks or in nesting."""
 

@@ -139,3 +139,41 @@ def test_types_equal_is_an_equivalence_relation():
                 for c in types:
                     if types_equal(b, c):
                         assert types_equal(a, c)
+
+
+class TestInterning:
+    def test_one_object_however_constructed(self):
+        assert ExtType("stdlib.classical", "f64") is F64
+        assert ExtType(extension="stdlib.classical", name="f64", args=()) is F64
+        assert ExtType("stdlib.classical", name="f64") is F64
+        sig = Signature((QUBIT,), (QUBIT,))
+        assert Signature(inputs=(QUBIT,), outputs=(QUBIT,)) is sig
+        assert Signature() is Signature((), ()) is Signature(outputs=())
+        assert PolySignature(0) is PolySignature(0, Signature()) is PolySignature(param_count=0)
+
+    def test_equality_and_hashing_are_identity(self):
+        lst = ExtType("acme.list", "list", (F64,))
+        assert lst == ExtType("acme.list", "list", (F64,))
+        assert lst != ExtType("acme.list", "list", (QUBIT,))
+        assert {lst: 1}[ExtType("acme.list", "list", (F64,))] == 1
+        assert EnumType.__eq__ is object.__eq__ and EnumType.__hash__ is object.__hash__
+
+    def test_keys_are_exact_about_value_types(self):
+        assert EnumType(2) is BOOL and EnumType(True) is not BOOL
+        assert repr(EnumType(True)) == "enum(True)"  # not merged into bool either way
+
+    def test_copies_and_pickles_are_the_same_object(self):
+        import copy
+        import pickle
+
+        fn = FunctionType(Signature((QUBIT, F64), (BOOL,)))
+        assert copy.copy(fn) is fn and copy.deepcopy(fn) is fn
+        assert pickle.loads(pickle.dumps(fn)) is fn
+
+    def test_construction_still_checks_its_arguments(self):
+        with pytest.raises(TypeError_):
+            EnumType(0)
+        with pytest.raises(TypeError_):
+            PolySignature(0, Signature((VarType(0),), ()))
+        with pytest.raises(TypeError):
+            ExtType("a", "b", (), 3)
