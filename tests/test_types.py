@@ -177,3 +177,29 @@ class TestInterning:
             PolySignature(0, Signature((VarType(0),), ()))
         with pytest.raises(TypeError):
             ExtType("a", "b", (), 3)
+
+
+def test_concurrent_construction_yields_one_object():
+    import sys
+    import threading
+
+    results: list[list] = []
+    start = threading.Barrier(8)
+
+    def build():
+        start.wait()
+        results.append([ExtType("stress", f"t{i}", (F64,)) for i in range(300)])
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads) and len(results) == 8
+    for objs in zip(*results):
+        assert all(o is objs[0] for o in objs)
