@@ -115,8 +115,11 @@ def cmd_run(args) -> int:
         return REPORTED
 
     if args.outcomes is not None:
-        script = [bool(int(tok)) for tok in args.outcomes.split(",") if tok != ""]
-        outcomes = interp.Scripted(script)
+        script = [tok for tok in args.outcomes.split(",") if tok != ""]
+        if not set(script) <= {"0", "1"}:
+            print(f"error: --outcomes takes 0s and 1s, got {args.outcomes!r}", file=sys.stderr)
+            return USAGE
+        outcomes = interp.Scripted([tok == "1" for tok in script])
     else:
         outcomes = interp.Seeded(args.seed)
 
@@ -139,14 +142,18 @@ def cmd_run(args) -> int:
             print(f"missing classical argument for input of type {t!r}", file=sys.stderr)
             return USAGE
         tok, pos = raw[pos], pos + 1
-        if t == F64:
-            values.append(interp.F64Value(float(tok)))
-        elif t == I64:
-            values.append(interp.I64Value(int(tok)))
-        elif isinstance(t, EnumType):
-            values.append(interp.EnumValue(int(tok), t.cardinality))
-        else:
-            print(f"cannot parse argument of type {t!r}", file=sys.stderr)
+        try:
+            if t == F64:
+                values.append(interp.F64Value(float(tok)))
+            elif t == I64:
+                values.append(interp.I64Value(int(tok)))
+            elif isinstance(t, EnumType):
+                values.append(interp.EnumValue(int(tok), t.cardinality))
+            else:
+                print(f"cannot parse argument of type {t!r}", file=sys.stderr)
+                return USAGE
+        except (ValueError, interp.InterpError) as exc:
+            print(f"error: bad argument {tok!r} for type {t!r}: {exc}", file=sys.stderr)
             return USAGE
 
     try:

@@ -444,9 +444,10 @@ def _check_touched(h: Hugr, region: int, registry: Registry,
                    touched: set[int]) -> list:
     member = set(h.children(region))
     diags: list = []
+    facts: dict = {}
     for n in sorted(touched):
         if n in h and h.parent(n) == region:
-            diags.extend(_check_node_ports(h, n, member, registry))
+            diags.extend(_check_node_ports(h, n, member, registry, facts))
     return diags
 
 

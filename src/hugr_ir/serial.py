@@ -7,13 +7,14 @@ byte-for-byte ``encode(h)``. Canonical equality doubles as the structural
 equality oracle used by tests.
 
 Ops and types are interned, so a document repeats few distinct terms. The
-encoder writes each distinct op and edge kind once and shares its term
-between records. The decoder keeps a memo per document, keyed by the
-``marshal`` bytes of each op term and edge kind and type term, so each
-distinct term is read once. Those bytes keep JSON ``1``, ``1.0`` and
-``true`` apart, and ``0.0`` from ``-0.0``. Every malformed term raises
-:class:`DecodeError` naming its place in the document, such as
-``edges[3].type``.
+encoder writes the document as text: it dumps each distinct op term, and
+each distinct edge kind with its type term, to JSON once, and formats the
+node and edge records around that text. The decoder keeps a memo per
+document, keyed by the ``marshal`` bytes of each op term and edge kind and
+type term, so each distinct term is read once. Those bytes keep JSON
+``1``, ``1.0`` and ``true`` apart, and ``0.0`` from ``-0.0``. Every
+malformed term raises :class:`DecodeError` naming its place in the
+document, such as ``edges[3].type``.
 
 File conventions: ``.hugr.json`` for graphs, ``.hugrext.json`` for extension
 declarations, ``.hugrrule.json`` for rewrite rules.
@@ -53,6 +54,7 @@ from .ops import (
     TailLoop,
     TypeDef,
     Value,
+    value_signature,
 )
 from .types import (
     EnumType,
@@ -74,6 +76,9 @@ class DecodeError(Exception):
 
 # what a malformed term raises before it is wrapped in a DecodeError
 _MALFORMED = (KeyError, TypeError, ValueError, OverflowError, RecursionError, TypeError_)
+
+
+_dumps = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def _term_key(term: Any) -> bytes:
@@ -257,7 +262,7 @@ def term_to_op(term: Any) -> OpKind:
                 raw = term[key]
             args[attr] = codec.decode(raw)
         op = cls(**args)
-        op.rows  # a call with the wrong number of type arguments fails here
+        value_signature(op)  # bad type arguments fail here; rows wait for decode's bound
         return op
     except _MALFORMED as exc:
         raise DecodeError(f"malformed {kind} term: {exc}") from exc
@@ -283,16 +288,6 @@ def _collect_extensions(ops: Iterable[OpKind]) -> list[str]:
     return sorted(exts)
 
 
-def _kind_to_term(kind: PortKind) -> tuple[str, Any]:
-    """An edge kind's ``"kind"`` name and ``"type"`` term (None if it has none)."""
-    if isinstance(kind, Value):
-        return "Value", type_to_term(kind.type)
-    if isinstance(kind, Static):
-        p = kind.payload
-        return "Static", scheme_to_term(p) if isinstance(p, PolySignature) else type_to_term(p)
-    return type(kind).__name__, None
-
-
 def _term_to_kind(name: Any, term: Any) -> PortKind:
     if name == "Value":
         return Value(term_to_type(term))
@@ -304,51 +299,52 @@ def _term_to_kind(name: Any, term: Any) -> PortKind:
     raise DecodeError(f"unknown edge kind {name!r}")
 
 
-def to_document(h: Hugr) -> dict[str, Any]:
-    """The canonical JSON document for a graph.
-
-    Records with the same op, or the same edge type, share one term object.
-    """
-    order = h.preorder()
-    idmap = {old: i for i, old in enumerate(order)}
-    op_terms: dict[OpKind, Any] = {}
-    kind_terms: dict[PortKind, tuple[str, Any]] = {}
-    nodes = []
-    edges = []
-    for i, old in enumerate(order):
-        nd = h.node(old)
-        term = op_terms.get(nd.op)
-        if term is None:
-            term = op_terms[nd.op] = op_to_term(nd.op)
-        nodes.append({
-            "id": i,
-            "parent": None if nd.parent is None else idmap[nd.parent],
-            "op": term,
-        })
-        for offset, out in enumerate(nd.out_edges):
-            for e in out:
-                kind = kind_terms.get(e.kind)
-                if kind is None:
-                    kind = kind_terms[e.kind] = _kind_to_term(e.kind)
-                rec: dict[str, Any] = {
-                    "src": [i, offset],
-                    "dst": [idmap[e.dst.node], e.dst.offset],
-                    "kind": kind[0],
-                }
-                if kind[1] is not None:
-                    rec["type"] = kind[1]
-                edges.append(rec)
-    edges.sort(key=lambda r: (r["src"][0], r["src"][1], r["dst"][0], r["dst"][1], r["kind"]))
-    return {
-        "version": FORMAT_VERSION,
-        "extensions_required": _collect_extensions(op_terms),
-        "nodes": nodes,
-        "edges": edges,
-    }
+def _kind_text(kind: PortKind) -> tuple[str, str]:
+    """An edge kind's name, and its ``"kind"`` and ``"type"`` members as JSON."""
+    name = type(kind).__name__
+    if isinstance(kind, Value):
+        term = type_to_term(kind.type)
+    elif isinstance(kind, Static):
+        p = kind.payload
+        term = scheme_to_term(p) if isinstance(p, PolySignature) else type_to_term(p)
+    else:
+        return name, f'"kind":{_dumps(name)}'
+    return name, f'"kind":{_dumps(name)},"type":{_dumps(term)}'
 
 
 def encode(h: Hugr) -> str:
-    return json.dumps(to_document(h), separators=(",", ":"))
+    """The canonical JSON text for a graph.
+
+    Each distinct op term, and each distinct edge kind with its type term,
+    is dumped once; node and edge records are formatted around that text.
+    """
+    order = h.preorder()
+    idmap = {old: i for i, old in enumerate(order)}
+    op_text: dict[OpKind, str] = {}
+    kind_text: dict[PortKind, tuple[str, str]] = {}
+    nodes: list[str] = []
+    edges: list[str] = []
+    for i, old in enumerate(order):
+        nd = h.node(old)
+        text = op_text.get(nd.op)
+        if text is None:
+            text = op_text[nd.op] = _dumps(op_to_term(nd.op))
+        parent = "null" if nd.parent is None else idmap[nd.parent]
+        nodes.append(f'{{"id":{i},"parent":{parent},"op":{text}}}')
+        for offset, out in enumerate(nd.out_edges):
+            recs = []
+            for e in out:
+                kind = kind_text.get(e.kind)
+                if kind is None:
+                    kind = kind_text[e.kind] = _kind_text(e.kind)
+                recs.append((idmap[e.dst.node], e.dst.offset, kind))
+            if len(recs) > 1:  # the canonical order; ties keep insertion order
+                recs.sort(key=lambda r: (r[0], r[1], r[2][0]))
+            for dst, port, (_, members) in recs:
+                edges.append(f'{{"src":[{i},{offset}],"dst":[{dst},{port}],{members}}}')
+    return (f'{{"version":{FORMAT_VERSION},'
+            f'"extensions_required":{_dumps(_collect_extensions(op_text))},'
+            f'"nodes":[{",".join(nodes)}],"edges":[{",".join(edges)}]}}')
 
 
 def from_document(doc: Any) -> Hugr:
@@ -388,6 +384,10 @@ def _from_document_mapped(doc: Any) -> tuple[Hugr, dict[int, int]]:
             op = ops.get(key)
             if op is None:
                 op = ops[key] = term_to_op(term)
+                # a valid block has a control edge, and so a port, per successor
+                if isinstance(op, BasicBlock) and op.successor_count > len(edge_recs):
+                    raise DecodeError(f"{op.successor_count} successors but "
+                                      f"{len(edge_recs)} edges in the document")
         except DecodeError as exc:
             raise DecodeError(f"nodes[{i}].op: {exc}") from exc
         by_id[nid] = op
@@ -457,7 +457,7 @@ def encode_extension(e: Extension) -> str:
         "ops": [{"name": o.name, "scheme": scheme_to_term(o.scheme), "doc": o.doc}
                 for o in e.ops],
     }
-    return json.dumps(doc, separators=(",", ":"))
+    return _dumps(doc)
 
 
 def decode_extension(text: str) -> Extension:
@@ -478,16 +478,9 @@ def decode_extension(text: str) -> Extension:
 
 def encode_rule(rule) -> str:
     """Serialize a rewrite rule (lhs/rhs fragments, anchor, name)."""
-    lhs_doc = to_document(rule.lhs.hugr)
-    order = rule.lhs.hugr.preorder()
-    idmap = {old: i for i, old in enumerate(order)}
-    doc = {
-        "name": rule.name,
-        "anchor": idmap[rule.lhs.anchor],
-        "lhs": lhs_doc,
-        "rhs": to_document(rule.rhs),
-    }
-    return json.dumps(doc, separators=(",", ":"))
+    anchor = rule.lhs.hugr.preorder().index(rule.lhs.anchor)
+    return (f'{{"name":{_dumps(rule.name)},"anchor":{anchor},'
+            f'"lhs":{encode(rule.lhs.hugr)},"rhs":{encode(rule.rhs)}}}')
 
 
 def decode_rule(text: str):

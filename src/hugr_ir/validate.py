@@ -20,7 +20,13 @@ Checks, per the container owning each region:
   * extension ops resolve in the registry and agree with it.
 
 Diagnostics accumulate — nothing throws — so tooling reports all problems at
-once. The diagnostic list is deterministic: sorted by node, port, code.
+once. The diagnostic list is deterministic: sorted by node, port, code. A
+hierarchy that is not a tree is reported alone: the other checks follow it.
+
+Each call keeps one dict from each distinct op to facts about its outgoing
+ports (no value, linear, copyable, or why the type does not resolve), and
+builds a ``Port`` only for a diagnostic. Kinds are interned, so a value edge
+is checked by identity; only a mismatch is compared in full, to word it.
 """
 
 from __future__ import annotations
@@ -54,7 +60,7 @@ from .ops import (
     Value,
     instantiate,
 )
-from .types import BOOL, EnumType, Type, TypeError_, VarType, contains_var, is_linear
+from .types import BOOL, EnumType, Type, TypeError_, contains_var, is_linear
 
 
 class Code(enum.Enum):
@@ -113,15 +119,16 @@ _LEAF_OPS = (
 
 def validate(h: Hugr, registry: Registry) -> list[Diagnostic]:
     """All diagnostics for the whole graph; empty means valid."""
-    diags = _check_hierarchy(h)
-    for n in h.preorder():
-        diags.extend(_check_parent(h, n, registry))
+    diags, nodes = _check_hierarchy(h)
+    facts: dict[OpKind, tuple] = {}
+    for n in nodes:
+        diags.extend(_check_parent(h, n, registry, facts))
     return _finish(diags)
 
 
 def validate_region(h: Hugr, parent: int, registry: Registry) -> list[Diagnostic]:
     """Diagnostics restricted to checks local to ``parent``'s own region."""
-    return _finish(_check_parent(h, parent, registry))
+    return _finish(_check_parent(h, parent, registry, {}))
 
 
 def render(diags: list[Diagnostic]) -> str:
@@ -156,45 +163,50 @@ def discarded_value_lints(h: Hugr, registry: Registry) -> list[str]:
 
 # ── hierarchy ──────────────────────────────────────────────────────
 
-def _check_hierarchy(h: Hugr) -> list[Diagnostic]:
-    diags: list[Diagnostic] = []
-    if not isinstance(h.op(h.root), Module):
-        diags.append(Diagnostic(Code.NonTreeHierarchy, h.root, None,
-                                "root node must be a Module"))
-    seen: set[int] = set()
+def _check_hierarchy(h: Hugr) -> tuple[list[Diagnostic], list[int]]:
+    """Hierarchy faults, and the nodes whose own checks follow: every node
+    if the hierarchy is a tree, none if not, because those checks follow
+    children lists and parent links that would then dangle or cycle."""
+    faults: list[Diagnostic] = []
+    seen: dict[int, None] = {}  # reachable nodes, in walk order
     stack = [h.root]
     while stack:
         n = stack.pop()
         if n in seen:
-            diags.append(Diagnostic(Code.NonTreeHierarchy, n, None,
-                                    "node reachable twice from the root"))
+            faults.append(Diagnostic(Code.NonTreeHierarchy, n, None,
+                                     "node reachable twice from the root"))
             continue
-        seen.add(n)
-        for c in h.children(n):
+        seen[n] = None
+        for c in h.node(n).children:
             if c not in h:
-                diags.append(Diagnostic(Code.NonTreeHierarchy, n, None,
-                                        f"child {c} does not exist"))
+                faults.append(Diagnostic(Code.NonTreeHierarchy, n, None,
+                                         f"child {c} does not exist"))
                 continue
-            if h.parent(c) != n:
-                diags.append(Diagnostic(Code.NonTreeHierarchy, c, None,
-                                        "parent link disagrees with children list"))
+            if h.node(c).parent != n:
+                faults.append(Diagnostic(Code.NonTreeHierarchy, c, None,
+                                         "parent link disagrees with children list"))
             stack.append(c)
-    for n in h.preorder():
-        if n not in seen:
-            diags.append(Diagnostic(Code.NonTreeHierarchy, n, None,
-                                    "node not reachable from the root"))
-    return diags
+    for n in h._nodes.keys() - seen.keys():
+        faults.append(Diagnostic(Code.NonTreeHierarchy, n, None,
+                                 "node not reachable from the root"))
+    nodes = [] if faults else list(seen)
+    if not isinstance(h.op(h.root), Module):
+        faults.append(Diagnostic(Code.NonTreeHierarchy, h.root, None,
+                                 "root node must be a Module"))
+    return faults, nodes
 
 
 # ── per-container checks ───────────────────────────────────────────
 
-def _check_parent(h: Hugr, parent: int, registry: Registry) -> list[Diagnostic]:
-    op = h.op(parent)
+def _check_parent(h: Hugr, parent: int, registry: Registry,
+                  facts: dict[OpKind, tuple]) -> list[Diagnostic]:
+    nd = h.node(parent)
+    op = nd.op
     diags: list[Diagnostic] = []
-    children = h.children(parent)
+    children = nd.children
 
     if isinstance(op, _LEAF_OPS):
-        for c in children:
+        if children:
             diags.append(Diagnostic(Code.BadChildKind, parent, None,
                                     f"{type(op).__name__} cannot contain children"))
         return diags
@@ -215,7 +227,7 @@ def _check_parent(h: Hugr, parent: int, registry: Registry) -> list[Diagnostic]:
         return diags
 
     if isinstance(op, _DATAFLOW_CONTAINERS):
-        diags.extend(_check_dataflow_region(h, parent, op, registry))
+        diags.extend(_check_dataflow_region(h, parent, op, registry, facts))
         return diags
 
     return diags
@@ -252,8 +264,8 @@ def _expected_rows(h: Hugr, parent: int, op: OpKind):
     raise AssertionError(op)
 
 
-def _check_dataflow_region(h: Hugr, parent: int, op: OpKind,
-                           registry: Registry) -> list[Diagnostic]:
+def _check_dataflow_region(h: Hugr, parent: int, op: OpKind, registry: Registry,
+                           facts: dict[OpKind, tuple]) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     children = h.children(parent)
 
@@ -271,32 +283,34 @@ def _check_dataflow_region(h: Hugr, parent: int, op: OpKind,
         diags.append(Diagnostic(mismatch_code, parent, None,
                                 f"region outputs {list(out_row)} do not match container {list(exp_out)}"))
     if isinstance(op, BasicBlock):
-        if not out_row or out_row[0] != EnumType(op.successor_count):
+        tag = out_row[0] if out_row else None
+        if not isinstance(tag, EnumType) or tag.cardinality != op.successor_count:
             diags.append(Diagnostic(Code.CfgShapeError, parent, None,
                                     f"block body must emit enum({op.successor_count}) first"))
 
     for c in children[2:]:
-        if isinstance(h.op(c), (Input, Output)):
+        c_op = h.op(c)
+        if isinstance(c_op, (Input, Output)):
             diags.append(Diagnostic(Code.MissingIO, c, None,
                                     "Input/Output must be the first two children"))
-        elif not isinstance(h.op(c), _DATAFLOW_CHILDREN):
+        elif not isinstance(c_op, _DATAFLOW_CHILDREN):
             diags.append(Diagnostic(Code.BadChildKind, c, None,
-                                    f"{type(h.op(c)).__name__} is not a dataflow operation"))
+                                    f"{type(c_op).__name__} is not a dataflow operation"))
 
     member = set(children)
     for c in children:
-        diags.extend(_check_node_ports(h, c, member, registry))
+        diags.extend(_check_node_ports(h, c, member, registry, facts))
 
     diags.extend(_check_dag(h, children, member))
     return diags
 
 
-def _check_node_ports(h: Hugr, n: int, region: set[int],
-                      registry: Registry) -> list[Diagnostic]:
+def _check_node_ports(h: Hugr, n: int, region: set[int], registry: Registry,
+                      facts: dict[OpKind, tuple]) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     nd = h.node(n)
     op = nd.op
-    ins, outs = nd.rows
+    ins = op.rows[0]
 
     if isinstance(op, ExtensionOp):
         diags.extend(_check_extension_op(n, op, registry))
@@ -308,7 +322,10 @@ def _check_node_ports(h: Hugr, n: int, region: set[int],
                 diags.append(Diagnostic(Code.InputPortUnwired, n, Port(n, Direction.IN, off),
                                         f"value input needs exactly one edge, found {len(edges)}"))
             for e in edges:
-                diags.extend(_check_value_edge(h, e, kind.type, region))
+                # interned kinds: the edge and its source port carry this very Value
+                if e.kind is not kind or e.src.node not in region \
+                        or h.port_kind(e.src) is not kind:
+                    diags.extend(_check_value_edge(h, e, kind.type, region))
         elif isinstance(kind, Static):
             if len(edges) != 1:
                 diags.append(Diagnostic(Code.InputPortUnwired, n, Port(n, Direction.IN, off),
@@ -321,31 +338,41 @@ def _check_node_ports(h: Hugr, n: int, region: set[int],
                     diags.append(Diagnostic(Code.EdgeTypeMismatch, n, Port(n, Direction.IN, off),
                                             "control-flow port carries a non-control edge"))
 
-    for off, kind in enumerate(outs):
+    out_facts = facts.get(op)
+    if out_facts is None:
+        out_facts = facts[op] = _out_facts(op, registry)
+    for off, fact in enumerate(out_facts):
+        if fact is None:
+            continue
         edges = nd.out_edges[off]
-        if isinstance(kind, Value):
-            port = Port(n, Direction.OUT, off)
-            linear = _linearish(kind.type, registry, diags, n, port)
-            if linear and len(edges) != 1:
-                diags.append(Diagnostic(Code.LinearityViolation, n, port,
-                                        f"linear output needs exactly one edge, found {len(edges)}"))
-            for e in edges:
-                if e.dst.node not in region:
-                    diags.append(Diagnostic(Code.EdgeTypeMismatch, n, port,
-                                            "value edge leaves its region"))
+        if fact is True and len(edges) != 1:
+            diags.append(Diagnostic(Code.LinearityViolation, n, Port(n, Direction.OUT, off),
+                                    f"linear output needs exactly one edge, found {len(edges)}"))
+        elif isinstance(fact, str):
+            diags.append(Diagnostic(Code.UnknownOp, n, Port(n, Direction.OUT, off), fact))
+        for e in edges:
+            if e.dst.node not in region:
+                diags.append(Diagnostic(Code.EdgeTypeMismatch, n, Port(n, Direction.OUT, off),
+                                        "value edge leaves its region"))
     return diags
 
 
-def _linearish(t: Type, registry: Registry, diags: list[Diagnostic],
-               n: int, port: Port) -> bool:
-    # uninstantiated variables are conservatively linear: sound for every instantiation
-    if isinstance(t, VarType) or contains_var(t):
-        return True
-    try:
-        return is_linear(t, registry)
-    except TypeError_ as exc:
-        diags.append(Diagnostic(Code.UnknownOp, n, port, str(exc)))
-        return False
+def _out_facts(op: OpKind, registry: Registry) -> tuple:
+    """Per outgoing port of ``op``: None if it carries no value, else whether
+    the value is linear, or why its type does not resolve."""
+    facts: list[bool | str | None] = []
+    for kind in op.rows[1]:
+        if not isinstance(kind, Value):
+            facts.append(None)
+        elif contains_var(kind.type):
+            # uninstantiated variables are conservatively linear: sound for every instantiation
+            facts.append(True)
+        else:
+            try:
+                facts.append(bool(is_linear(kind.type, registry)))
+            except TypeError_ as exc:
+                facts.append(str(exc))
+    return tuple(facts)
 
 
 def _check_value_edge(h: Hugr, e: Edge, dst_type: Type,
@@ -499,11 +526,12 @@ def _check_cfg(h: Hugr, parent: int, op: Cfg) -> list[Diagnostic]:
                                         f"successor {tag} needs exactly one control edge, found {len(edges)}"))
                 continue
             e = edges[0]
-            if not isinstance(e.kind, ControlFlow) or e.dst.node not in member:
+            succ_op = h.op(e.dst.node) if e.dst.node in member else None
+            if not isinstance(e.kind, ControlFlow) \
+                    or not isinstance(succ_op, (BasicBlock, ExitBlock)):
                 diags.append(Diagnostic(Code.CfgShapeError, b, port,
                                         "control edges must target a sibling block"))
                 continue
-            succ_op = h.op(e.dst.node)
             expect = succ_op.inputs if isinstance(succ_op, BasicBlock) else succ_op.outputs
             if pass_row is not None and tuple(pass_row) != tuple(expect):
                 diags.append(Diagnostic(Code.CfgShapeError, b, port,

@@ -34,6 +34,7 @@ from hugr_ir.ops import (
     Cfg,
     Conditional,
     Const,
+    ControlFlow,
     ExitBlock,
     ExtensionOp,
     FuncDecl,
@@ -42,6 +43,7 @@ from hugr_ir.ops import (
     LoadConst,
     LoadFunction,
     Module,
+    OpError,
     OpKind,
     Output,
     Static,
@@ -60,7 +62,7 @@ from hugr_ir.rewrite import (
     fragment_region,
 )
 from hugr_ir.build import DfBuilder, splice_region
-from hugr_ir.graph import in_port, out_port
+from hugr_ir.graph import Edge, in_port, out_port
 from hugr_ir.structure import (
     CfgView,
     Frag,
@@ -88,8 +90,12 @@ from hugr_ir.types import (
     PolySignature,
     Signature,
     Type,
+    TypeError_,
     VarType,
+    contains_var,
+    is_linear,
 )
+from hugr_ir.validate import Code, Diagnostic
 
 
 def naive_find_matches(pattern: Pattern, h: Hugr, region: int) -> set[frozenset]:
@@ -1227,3 +1233,406 @@ def naive_encode_rule(rule) -> str:
         "rhs": naive_to_document(rule.rhs),
     }
     return json.dumps(doc, separators=(",", ":"))
+
+
+# ── validation before per-op port facts ───────────────────────────
+#
+# ``naive_validate`` and ``naive_validate_region`` are the checks that
+# recompute each port's linearity per node, build a ``Port`` per value
+# output, and walk the hierarchy twice. They are kept verbatim apart from
+# their names; ``Code`` and ``Diagnostic`` are the real ones.
+
+def _naive_sort_key(d: Diagnostic):
+    if d.port is None:
+        pkey = (-1, -1)
+    else:
+        pkey = (0 if d.port.direction is Direction.IN else 1, d.port.offset)
+    return (d.node, pkey, d.code.value, d.message)
+
+
+def _naive_finish(diags: list[Diagnostic]) -> list[Diagnostic]:
+    return sorted(set(diags), key=_naive_sort_key)
+
+
+# Ops admissible as direct children of a dataflow region.
+_naive_DATAFLOW_CHILDREN = (
+    Input, Output, ExtensionOp, Conditional, TailLoop, Cfg,
+    Call, LoadFunction, LoadConst, Const, FuncDef, FuncDecl,
+)
+# Ops that contain a dataflow region (Input/Output pair first).
+_naive_DATAFLOW_CONTAINERS = (FuncDef, Case, TailLoop, BasicBlock)
+# Ops with no children at all.
+_naive_LEAF_OPS = (
+    Input, Output, ExtensionOp, Call, LoadFunction, LoadConst, Const,
+    FuncDecl, ExitBlock,
+)
+
+
+def naive_validate(h: Hugr, registry: Registry) -> list[Diagnostic]:
+    """All diagnostics for the whole graph; empty means valid."""
+    diags = _naive_check_hierarchy(h)
+    for n in h.preorder():
+        diags.extend(_naive_check_parent(h, n, registry))
+    return _naive_finish(diags)
+
+
+def naive_validate_region(h: Hugr, parent: int, registry: Registry) -> list[Diagnostic]:
+    """Diagnostics restricted to checks local to ``parent``'s own region."""
+    return _naive_finish(_naive_check_parent(h, parent, registry))
+
+
+# ── hierarchy ──────────────────────────────────────────────────────
+
+def _naive_check_hierarchy(h: Hugr) -> list[Diagnostic]:
+    diags: list[Diagnostic] = []
+    if not isinstance(h.op(h.root), Module):
+        diags.append(Diagnostic(Code.NonTreeHierarchy, h.root, None,
+                                "root node must be a Module"))
+    seen: set[int] = set()
+    stack = [h.root]
+    while stack:
+        n = stack.pop()
+        if n in seen:
+            diags.append(Diagnostic(Code.NonTreeHierarchy, n, None,
+                                    "node reachable twice from the root"))
+            continue
+        seen.add(n)
+        for c in h.children(n):
+            if c not in h:
+                diags.append(Diagnostic(Code.NonTreeHierarchy, n, None,
+                                        f"child {c} does not exist"))
+                continue
+            if h.parent(c) != n:
+                diags.append(Diagnostic(Code.NonTreeHierarchy, c, None,
+                                        "parent link disagrees with children list"))
+            stack.append(c)
+    for n in h.preorder():
+        if n not in seen:
+            diags.append(Diagnostic(Code.NonTreeHierarchy, n, None,
+                                    "node not reachable from the root"))
+    return diags
+
+
+# ── per-container checks ───────────────────────────────────────────
+
+def _naive_check_parent(h: Hugr, parent: int, registry: Registry) -> list[Diagnostic]:
+    op = h.op(parent)
+    diags: list[Diagnostic] = []
+    children = h.children(parent)
+
+    if isinstance(op, _naive_LEAF_OPS):
+        for c in children:
+            diags.append(Diagnostic(Code.BadChildKind, parent, None,
+                                    f"{type(op).__name__} cannot contain children"))
+        return diags
+
+    if isinstance(op, Module):
+        for c in children:
+            if not isinstance(h.op(c), (FuncDef, FuncDecl)):
+                diags.append(Diagnostic(Code.BadChildKind, c, None,
+                                        "module children must be function definitions or declarations"))
+        return diags
+
+    if isinstance(op, Conditional):
+        diags.extend(_naive_check_conditional(h, parent, op))
+        return diags
+
+    if isinstance(op, Cfg):
+        diags.extend(_naive_check_cfg(h, parent, op))
+        return diags
+
+    if isinstance(op, _naive_DATAFLOW_CONTAINERS):
+        diags.extend(_naive_check_dataflow_region(h, parent, op, registry))
+        return diags
+
+    return diags
+
+
+def _naive_region_rows(h: Hugr, parent: int) -> tuple[tuple[Type, ...], tuple[Type, ...]] | None:
+    """(input row, output row) of a dataflow region, if its IO pair exists."""
+    children = h.children(parent)
+    if len(children) < 2:
+        return None
+    i_op, o_op = h.op(children[0]), h.op(children[1])
+    if not isinstance(i_op, Input) or not isinstance(o_op, Output):
+        return None
+    return i_op.types, o_op.types
+
+
+def _naive_expected_rows(h: Hugr, parent: int, op: OpKind):
+    """Expected region rows and the code to report when they mismatch."""
+    if isinstance(op, FuncDef):
+        body = op.scheme.body
+        return body.inputs, body.outputs, Code.MissingIO
+    if isinstance(op, Case):
+        cond = h.parent(parent)
+        cond_op = h.op(cond) if cond is not None else None
+        if isinstance(cond_op, Conditional):
+            return cond_op.other_inputs, cond_op.outputs, Code.CaseSignatureMismatch
+        return None, None, Code.CaseSignatureMismatch
+    if isinstance(op, TailLoop):
+        return op.loop_vars, (BOOL,) + op.loop_vars, Code.LoopSignatureMismatch
+    if isinstance(op, BasicBlock):
+        # output row is (Enum(successors),) + pass row; pass row is free here
+        # and checked against the successors by the CFG owner
+        return op.inputs, None, Code.CfgShapeError
+    raise AssertionError(op)
+
+
+def _naive_check_dataflow_region(h: Hugr, parent: int, op: OpKind,
+                           registry: Registry) -> list[Diagnostic]:
+    diags: list[Diagnostic] = []
+    children = h.children(parent)
+
+    rows = _naive_region_rows(h, parent)
+    if rows is None:
+        diags.append(Diagnostic(Code.MissingIO, parent, None,
+                                "dataflow region must start with an Input and an Output node"))
+        return diags
+    in_row, out_row = rows
+    exp_in, exp_out, mismatch_code = _naive_expected_rows(h, parent, op)
+    if exp_in is not None and tuple(exp_in) != tuple(in_row):
+        diags.append(Diagnostic(mismatch_code, parent, None,
+                                f"region inputs {list(in_row)} do not match container {list(exp_in)}"))
+    if exp_out is not None and tuple(exp_out) != tuple(out_row):
+        diags.append(Diagnostic(mismatch_code, parent, None,
+                                f"region outputs {list(out_row)} do not match container {list(exp_out)}"))
+    if isinstance(op, BasicBlock):
+        if not out_row or out_row[0] != EnumType(op.successor_count):
+            diags.append(Diagnostic(Code.CfgShapeError, parent, None,
+                                    f"block body must emit enum({op.successor_count}) first"))
+
+    for c in children[2:]:
+        if isinstance(h.op(c), (Input, Output)):
+            diags.append(Diagnostic(Code.MissingIO, c, None,
+                                    "Input/Output must be the first two children"))
+        elif not isinstance(h.op(c), _naive_DATAFLOW_CHILDREN):
+            diags.append(Diagnostic(Code.BadChildKind, c, None,
+                                    f"{type(h.op(c)).__name__} is not a dataflow operation"))
+
+    member = set(children)
+    for c in children:
+        diags.extend(_naive_check_node_ports(h, c, member, registry))
+
+    diags.extend(_naive_check_dag(h, children, member))
+    return diags
+
+
+def _naive_check_node_ports(h: Hugr, n: int, region: set[int],
+                      registry: Registry) -> list[Diagnostic]:
+    diags: list[Diagnostic] = []
+    nd = h.node(n)
+    op = nd.op
+    ins, outs = nd.rows
+
+    if isinstance(op, ExtensionOp):
+        diags.extend(_naive_check_extension_op(n, op, registry))
+
+    for off, kind in enumerate(ins):
+        edges = nd.in_edges[off]
+        if isinstance(kind, Value):
+            if len(edges) != 1:
+                diags.append(Diagnostic(Code.InputPortUnwired, n, Port(n, Direction.IN, off),
+                                        f"value input needs exactly one edge, found {len(edges)}"))
+            for e in edges:
+                diags.extend(_naive_check_value_edge(h, e, kind.type, region))
+        elif isinstance(kind, Static):
+            if len(edges) != 1:
+                diags.append(Diagnostic(Code.InputPortUnwired, n, Port(n, Direction.IN, off),
+                                        f"static input needs exactly one edge, found {len(edges)}"))
+            for e in edges:
+                diags.extend(_naive_check_static_edge(h, e, kind))
+        else:  # incoming control flow; counted by the CFG owner
+            for e in edges:
+                if not isinstance(e.kind, ControlFlow):
+                    diags.append(Diagnostic(Code.EdgeTypeMismatch, n, Port(n, Direction.IN, off),
+                                            "control-flow port carries a non-control edge"))
+
+    for off, kind in enumerate(outs):
+        edges = nd.out_edges[off]
+        if isinstance(kind, Value):
+            port = Port(n, Direction.OUT, off)
+            linear = _naive_linearish(kind.type, registry, diags, n, port)
+            if linear and len(edges) != 1:
+                diags.append(Diagnostic(Code.LinearityViolation, n, port,
+                                        f"linear output needs exactly one edge, found {len(edges)}"))
+            for e in edges:
+                if e.dst.node not in region:
+                    diags.append(Diagnostic(Code.EdgeTypeMismatch, n, port,
+                                            "value edge leaves its region"))
+    return diags
+
+
+def _naive_linearish(t: Type, registry: Registry, diags: list[Diagnostic],
+               n: int, port: Port) -> bool:
+    # uninstantiated variables are conservatively linear: sound for every instantiation
+    if isinstance(t, VarType) or contains_var(t):
+        return True
+    try:
+        return is_linear(t, registry)
+    except TypeError_ as exc:
+        diags.append(Diagnostic(Code.UnknownOp, n, port, str(exc)))
+        return False
+
+
+def _naive_check_value_edge(h: Hugr, e: Edge, dst_type: Type,
+                      region: set[int]) -> list[Diagnostic]:
+    diags: list[Diagnostic] = []
+    if not isinstance(e.kind, Value):
+        diags.append(Diagnostic(Code.EdgeTypeMismatch, e.dst.node, e.dst,
+                                f"value port wired with a {type(e.kind).__name__} edge"))
+        return diags
+    if e.src.node not in region:
+        diags.append(Diagnostic(Code.EdgeTypeMismatch, e.dst.node, e.dst,
+                                "value edge crosses region boundaries"))
+        return diags
+    src_kind = h.port_kind(e.src)
+    if not isinstance(src_kind, Value):
+        diags.append(Diagnostic(Code.EdgeTypeMismatch, e.dst.node, e.dst,
+                                "value edge leaves a non-value port"))
+        return diags
+    if src_kind.type != dst_type or e.kind.type != dst_type:
+        diags.append(Diagnostic(Code.EdgeTypeMismatch, e.dst.node, e.dst,
+                                f"edge type {src_kind.type!r} does not match port type {dst_type!r}"))
+    return diags
+
+
+def _naive_check_static_edge(h: Hugr, e: Edge, expect: Static) -> list[Diagnostic]:
+    diags: list[Diagnostic] = []
+    target = e.dst.node
+    if not isinstance(e.kind, Static):
+        diags.append(Diagnostic(Code.EdgeTypeMismatch, target, e.dst,
+                                f"static port wired with a {type(e.kind).__name__} edge"))
+        return diags
+    src_op = h.op(e.src.node)
+    if not isinstance(src_op, (FuncDef, FuncDecl, Const)):
+        diags.append(Diagnostic(Code.StaticScopeError, target, e.dst,
+                                f"static edge source must be a definition or constant, got {type(src_op).__name__}"))
+        return diags
+    src_kind = h.port_kind(e.src)
+    if not isinstance(src_kind, Static) or src_kind.payload != expect.payload:
+        got = src_kind.payload if isinstance(src_kind, Static) else src_kind
+        diags.append(Diagnostic(Code.EdgeTypeMismatch, target, e.dst,
+                                f"static payload {got!r} does not match expected {expect.payload!r}"))
+    # the source's region must enclose (or be) the target's region
+    src_parent = h.parent(e.src.node)
+    dst_parent = h.parent(target)
+    if src_parent is None or dst_parent is None or not h.is_ancestor(src_parent, dst_parent):
+        diags.append(Diagnostic(Code.StaticScopeError, target, e.dst,
+                                "static edge source is not visible from the use site"))
+    return diags
+
+
+def _naive_check_extension_op(n: int, op: ExtensionOp, registry: Registry) -> list[Diagnostic]:
+    problems = registry.extop_problems.get(op)
+    if problems is None:
+        problems = registry.extop_problems[op] = _naive_extension_op_problems(op, registry)
+    return [Diagnostic(Code.UnknownOp, n, None, msg) for msg in problems]
+
+
+def _naive_extension_op_problems(op: ExtensionOp, registry: Registry) -> list[str]:
+    try:
+        scheme = registry.op_def(op.extension, op.name).scheme
+    except OpError:
+        return [f"{op.extension}.{op.name} is not registered"]
+    try:
+        expected = instantiate(scheme, op.type_args)
+    except TypeError_ as exc:
+        return [f"{op.extension}.{op.name}: bad type arguments ({exc})"]
+    if expected != op.signature:
+        return [f"{op.extension}.{op.name} declares {op.signature!r} "
+                f"but registry says {expected!r}"]
+    return []
+
+
+def _naive_check_dag(h: Hugr, children: list[int], member: set[int]) -> list[Diagnostic]:
+    indeg = {c: 0 for c in children}
+    succs: dict[int, list[int]] = {c: [] for c in children}
+    for c in children:
+        for edges in h.node(c).out_edges:
+            for e in edges:
+                if isinstance(e.kind, Value) and e.dst.node in member:
+                    succs[c].append(e.dst.node)
+                    indeg[e.dst.node] += 1
+    ready = sorted(c for c in children if indeg[c] == 0)
+    done = 0
+    while ready:
+        c = ready.pop()
+        done += 1
+        for s in succs[c]:
+            indeg[s] -= 1
+            if indeg[s] == 0:
+                ready.append(s)
+    if done != len(children):
+        stuck = min(c for c in children if indeg[c] > 0)
+        return [Diagnostic(Code.DataflowCycle, stuck, None,
+                           "value edges form a cycle within the region")]
+    return []
+
+
+# ── conditionals ───────────────────────────────────────────────────
+
+def _naive_check_conditional(h: Hugr, parent: int, op: Conditional) -> list[Diagnostic]:
+    diags: list[Diagnostic] = []
+    children = h.children(parent)
+    cases = []
+    for c in children:
+        if isinstance(h.op(c), Case):
+            cases.append(c)
+        else:
+            diags.append(Diagnostic(Code.BadChildKind, c, None,
+                                    "conditionals may only contain cases"))
+    if len(cases) != op.cardinality:
+        diags.append(Diagnostic(Code.CaseArityMismatch, parent, None,
+                                f"discriminant has {op.cardinality} tags but {len(cases)} cases"))
+    return diags
+
+
+# ── CFGs ───────────────────────────────────────────────────────────
+
+def _naive_check_cfg(h: Hugr, parent: int, op: Cfg) -> list[Diagnostic]:
+    diags: list[Diagnostic] = []
+    children = h.children(parent)
+    member = set(children)
+    blocks = [c for c in children if isinstance(h.op(c), BasicBlock)]
+    exits = [c for c in children if isinstance(h.op(c), ExitBlock)]
+    for c in children:
+        if not isinstance(h.op(c), (BasicBlock, ExitBlock)):
+            diags.append(Diagnostic(Code.BadChildKind, c, None,
+                                    "CFGs may only contain basic blocks and one exit block"))
+    if len(exits) != 1:
+        diags.append(Diagnostic(Code.CfgShapeError, parent, None,
+                                f"CFG needs exactly one exit block, found {len(exits)}"))
+    if not children or not isinstance(h.op(children[0]), BasicBlock):
+        diags.append(Diagnostic(Code.CfgShapeError, parent, None,
+                                "CFG entry (first child) must be a basic block"))
+    elif h.op(children[0]).inputs != op.signature.inputs:
+        diags.append(Diagnostic(Code.CfgShapeError, children[0], None,
+                                "entry block inputs must match the CFG signature"))
+    for x in exits:
+        if h.op(x).outputs != op.signature.outputs:
+            diags.append(Diagnostic(Code.CfgShapeError, x, None,
+                                    "exit block outputs must match the CFG signature"))
+
+    for b in blocks:
+        bop = h.op(b)
+        rows = _naive_region_rows(h, b)
+        pass_row = rows[1][1:] if rows is not None and rows[1] else None
+        for tag in range(bop.successor_count):
+            port = Port(b, Direction.OUT, tag)
+            edges = h.edges_at(port)
+            if len(edges) != 1:
+                diags.append(Diagnostic(Code.CfgShapeError, b, port,
+                                        f"successor {tag} needs exactly one control edge, found {len(edges)}"))
+                continue
+            e = edges[0]
+            if not isinstance(e.kind, ControlFlow) or e.dst.node not in member:
+                diags.append(Diagnostic(Code.CfgShapeError, b, port,
+                                        "control edges must target a sibling block"))
+                continue
+            succ_op = h.op(e.dst.node)
+            expect = succ_op.inputs if isinstance(succ_op, BasicBlock) else succ_op.outputs
+            if pass_row is not None and tuple(pass_row) != tuple(expect):
+                diags.append(Diagnostic(Code.CfgShapeError, b, port,
+                                        f"block passes {list(pass_row)} but successor expects {list(expect)}"))
+    return diags

@@ -358,3 +358,37 @@ def test_run_rejects_a_foreign_qubit_type(registry, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.strip() == "cannot parse argument of type other.qubit"
+
+
+def _one_error_line(err: str) -> bool:
+    return err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("outcomes", ["x,1", "2", "0,1,true", "-1"])
+def test_run_rejects_outcomes_other_than_0_and_1(programs, capsys, outcomes):
+    assert main(["run", programs["rus_loop"], "--entry", "main",
+                 "--outcomes", outcomes]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _one_error_line(captured.err), captured.err
+
+
+def test_run_rejects_non_numeric_arguments(registry, programs, tmp_path, capsys):
+    from hugr_ir.build import new_module
+    from hugr_ir.types import I64, Signature
+
+    m = new_module(registry)
+    b = m.define_function("main", Signature((I64,), (I64,)))
+    b.set_outputs(*b.inputs())
+    ints = tmp_path / "ints.hugr.json"
+    ints.write_text(encode(m.hugr))
+    for path, value in [(programs["rotation_pipeline"], "x,0.4"),
+                        (programs["rotation_pipeline"], "0.3,nan?"),
+                        (str(ints), "1.5"), (str(ints), "seven")]:
+        assert main(["run", path, "--entry", "main", "--args", value,
+                     "--outcomes", ""]) == 2, value
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert _one_error_line(captured.err), captured.err
+    assert main(["run", str(ints), "--entry", "main", "--args", "-7"]) == 0
+    assert capsys.readouterr().out == "-7\n"

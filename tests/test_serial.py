@@ -361,3 +361,12 @@ def test_malformed_extension_and_rule_files_are_decode_errors(registry):
     for read, doc in [(decode_extension, ext), (decode_extension, twice), (decode_rule, rule)]:
         with pytest.raises(DecodeError):
             read(json.dumps(doc))
+
+
+def test_more_successors_than_edges_is_a_decode_error():
+    doc = json.loads(encode(Hugr()))
+    doc["nodes"].append({"id": 1, "parent": 0,
+                         "op": {"kind": "BasicBlock", "inputs": [], "successors": 10**9}})
+    # one port per successor would exhaust memory; the count is refused first
+    with pytest.raises(DecodeError, match=r"^nodes\[1\]\.op: 1000000000 successors but 0 edges"):
+        from_document(doc)

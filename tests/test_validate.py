@@ -297,3 +297,69 @@ def test_fault_injection_sample(registry):
         expected = inject_fault(h, kind, rng, registry)
         codes = {d.code.value for d in validate(h, registry)}
         assert expected in codes, (kind, codes)
+
+
+# ── hierarchy faults: reported, never raised ───────────────────────
+
+def test_a_dangling_child_is_reported(registry):
+    from oracles import naive_validate
+
+    h = all_programs(registry)["rotation_pipeline"]
+    region = main_region(h)
+    gate = h.children(region)[2]
+    del h._nodes[gate]  # its id stays in the children list
+    diags = validate(h, registry)
+    assert [d.render() for d in diags] == \
+        [f"NonTreeHierarchy node={region} port=-: child {gate} does not exist"]
+    with pytest.raises(KeyError):  # the old walk followed the dangling id
+        naive_validate(h, registry)
+
+
+def test_an_orphan_node_is_reported(registry):
+    from hugr_ir.graph import Node
+    from oracles import naive_validate
+
+    h = all_programs(registry)["rotation_pipeline"]
+    orphan = h._next_id
+    h._nodes[orphan] = Node(orphan, main_region(h), Case())  # in no children list
+    diags = validate(h, registry)
+    assert [d.render() for d in diags] == \
+        [f"NonTreeHierarchy node={orphan} port=-: node not reachable from the root"]
+    assert naive_validate(h, registry) == []  # the old check looked at reachable nodes only
+
+
+def test_a_block_with_no_successors_is_a_diagnostic(registry):
+    import json
+
+    from hugr_ir import decode, encode
+    from hugr_ir.programs import rus_cfg
+
+    doc = json.loads(encode(rus_cfg(registry)))
+    rec = next(n for n in doc["nodes"] if n["op"]["kind"] == "BasicBlock")
+    rec["op"]["successors"] = 0
+    doc["edges"] = [e for e in doc["edges"]
+                    if e["src"][0] != rec["id"] or e["kind"] != "ControlFlow"]
+    h = decode(json.dumps(doc))
+    assert "block body must emit enum(0) first" in \
+        [d.message for d in validate(h, registry) if d.code is Code.CfgShapeError]
+
+
+def test_a_control_edge_into_a_non_block_is_a_diagnostic(registry):
+    import json
+
+    from hugr_ir import decode, encode
+    from hugr_ir.programs import rus_cfg
+
+    doc = json.loads(encode(rus_cfg(registry)))
+    cfg = next(n for n in doc["nodes"] if n["op"]["kind"] == "CFG")
+    qubit = [{"ext": "stdlib.quantum", "name": "qubit"}]
+    gate = {"kind": "ExtensionOp", "ext": "stdlib.quantum", "name": "H",
+            "signature": {"inputs": qubit, "outputs": qubit}}
+    doc["nodes"].append({"id": 999, "parent": cfg["id"], "op": gate})
+    edge = next(e for e in doc["edges"] if e["kind"] == "ControlFlow")
+    edge["dst"] = [999, 0]
+    h = decode(json.dumps(doc))
+    messages = {(d.code, d.message) for d in validate(h, registry)}
+    assert (Code.CfgShapeError, "control edges must target a sibling block") in messages
+    assert (Code.BadChildKind,
+            "CFGs may only contain basic blocks and one exit block") in messages
