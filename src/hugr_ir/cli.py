@@ -10,8 +10,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import interp, rewrite, serial, structure
-from .ops import Registry, register, stdlib
+from . import rewrite, serial, structure
+from .ops import OpError, Registry, register, stdlib
 from .types import EnumType, F64, I64, QUBIT
 from .validate import validate
 
@@ -21,7 +21,10 @@ OK, REPORTED, USAGE = 0, 1, 2
 def _load_registry(ext_files) -> Registry:
     registry = stdlib()
     for path in ext_files or []:
-        registry = register(registry, serial.decode_extension(_read(path)))
+        try:
+            registry = register(registry, serial.decode_extension(_read(path)))
+        except OpError as exc:  # the id is already registered
+            raise serial.DecodeError(f"{path}: {exc}") from exc
     return registry
 
 
@@ -90,6 +93,8 @@ def _parse_args(text):
 
 
 def _render_value(v) -> str:
+    from . import interp
+
     if isinstance(v, interp.EnumValue):
         if v.cardinality == 2:
             return "true" if v.tag else "false"
@@ -106,6 +111,8 @@ def _render_value(v) -> str:
 
 
 def cmd_run(args) -> int:
+    from . import interp  # the evaluator alone needs numpy
+
     registry = _load_registry(args.ext)
     h = _load_graph(args.file)
     diags = validate(h, registry)

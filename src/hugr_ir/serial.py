@@ -9,10 +9,12 @@ equality oracle used by tests.
 Ops and types are interned, so a document repeats few distinct terms. The
 encoder writes the document as text: it dumps each distinct op term, and
 each distinct edge kind with its type term, to JSON once, and formats the
-node and edge records around that text. The decoder keeps a memo per
-document, keyed by the ``marshal`` bytes of each op term and edge kind and
-type term, so each distinct term is read once. Those bytes keep JSON
-``1``, ``1.0`` and ``true`` apart, and ``0.0`` from ``-0.0``. Every
+node and edge records around that text. The decoder keeps one memo per
+process, keyed by the ``marshal`` bytes of each op term and edge kind and
+type term, so each distinct term is read once while the object it names is
+alive. The memo holds its objects weakly, so ops still die with the last
+graph that uses them. Those bytes keep JSON ``1``, ``1.0`` and ``true``
+apart, and ``0.0`` from ``-0.0``. Every
 malformed term raises :class:`DecodeError` naming its place in the
 document, such as ``edges[3].type``.
 
@@ -25,6 +27,8 @@ from __future__ import annotations
 import json
 import marshal
 import warnings
+import weakref
+from functools import partial
 from typing import Any, Callable, Iterable, NamedTuple
 
 from .graph import Direction, GraphError, Hugr, Port
@@ -79,6 +83,12 @@ _MALFORMED = (KeyError, TypeError, ValueError, OverflowError, RecursionError, Ty
 
 
 _dumps = json.JSONEncoder(separators=(",", ":")).encode
+
+
+# the op and the edge kind each term read so far names, by _term_key; a hit
+# is the very object a fresh read would return, since both are interned
+_OPS: weakref.WeakValueDictionary[bytes, OpKind] = weakref.WeakValueDictionary()
+_KINDS: weakref.WeakValueDictionary[bytes, PortKind] = weakref.WeakValueDictionary()
 
 
 def _term_key(term: Any) -> bytes:
@@ -167,10 +177,14 @@ def _same(value: Any) -> Any:
     return value
 
 
-def _str(value: Any) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {value!r}")
+def _of(cls: type, value: Any) -> Any:
+    """``value``, if JSON gave it as a ``cls``: ``true`` is no integer here."""
+    if type(value) is not cls:
+        raise TypeError(f"expected a JSON {cls.__name__}, got {value!r}")
     return value
+
+
+_str = partial(_of, str)
 
 
 def _no_types(value: Any) -> tuple[Type, ...]:
@@ -367,7 +381,6 @@ def _from_document_mapped(doc: Any) -> tuple[Hugr, dict[int, int]]:
     except (KeyError, TypeError) as exc:
         raise DecodeError(f"document is missing nodes/edges: {exc}") from exc
 
-    ops: dict[bytes, OpKind] = {}  # this document's op terms, by _term_key
     by_id: dict[int, OpKind] = {}
     children: dict[int | None, list[int]] = {}
     for i, rec in enumerate(node_recs):
@@ -381,13 +394,13 @@ def _from_document_mapped(doc: Any) -> tuple[Hugr, dict[int, int]]:
             raise DecodeError(f"nodes[{i}]: duplicate node id {nid}")
         try:
             key = _term_key(term)
-            op = ops.get(key)
+            op = _OPS.get(key)
             if op is None:
-                op = ops[key] = term_to_op(term)
-                # a valid block has a control edge, and so a port, per successor
-                if isinstance(op, BasicBlock) and op.successor_count > len(edge_recs):
-                    raise DecodeError(f"{op.successor_count} successors but "
-                                      f"{len(edge_recs)} edges in the document")
+                op = _OPS[key] = term_to_op(term)
+            # a valid block has a control edge, and so a port, per successor
+            if isinstance(op, BasicBlock) and op.successor_count > len(edge_recs):
+                raise DecodeError(f"{op.successor_count} successors but "
+                                  f"{len(edge_recs)} edges in the document")
         except DecodeError as exc:
             raise DecodeError(f"nodes[{i}].op: {exc}") from exc
         by_id[nid] = op
@@ -411,7 +424,6 @@ def _from_document_mapped(doc: Any) -> tuple[Hugr, dict[int, int]]:
     if len(idmap) != len(by_id):
         raise DecodeError("hierarchy contains unreachable nodes (parent cycle?)")
 
-    kinds: dict[bytes, PortKind] = {}  # this document's edge kind and type terms
     for i, rec in enumerate(edge_recs):
         try:
             (sn, so), (dn, do) = rec["src"], rec["dst"]
@@ -423,9 +435,9 @@ def _from_document_mapped(doc: Any) -> tuple[Hugr, dict[int, int]]:
             raise DecodeError(f"edges[{i}]: edge references unknown node in {rec!r}")
         try:
             key = _term_key((name, term))
-            kind = kinds.get(key)
+            kind = _KINDS.get(key)
             if kind is None:
-                kind = kinds[key] = _term_to_kind(name, term)
+                kind = _KINDS[key] = _term_to_kind(name, term)
         except DecodeError as exc:
             raise DecodeError(f"edges[{i}].type: {exc}") from exc
         try:
@@ -464,13 +476,13 @@ def decode_extension(text: str) -> Extension:
     try:
         doc = json.loads(text)
         return Extension(
-            doc["id"],
-            tuple(TypeDef(t["name"], bool(t["linear"]), int(t.get("arity", 0)))
+            _str(doc["id"]),
+            tuple(TypeDef(_str(t["name"]), _of(bool, t["linear"]), _of(int, t.get("arity", 0)))
                   for t in doc.get("types", [])),
-            tuple(OpDef(o["name"], term_to_scheme(o["scheme"]), o.get("doc", ""))
+            tuple(OpDef(_str(o["name"]), term_to_scheme(o["scheme"]), _str(o.get("doc", "")))
                   for o in doc.get("ops", [])),
         )
-    except (KeyError, TypeError, ValueError, OverflowError, OpError) as exc:
+    except (*_MALFORMED, OpError) as exc:
         raise DecodeError(f"malformed extension declaration: {exc}") from exc
 
 
@@ -491,8 +503,8 @@ def decode_rule(text: str):
         lhs_h, lhs_map = _from_document_mapped(doc["lhs"])
         rhs = from_document(doc["rhs"])
         anchor_doc_id = int(doc["anchor"])
-        name = doc["name"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        name = _str(doc["name"])
+    except _MALFORMED as exc:
         raise DecodeError(f"malformed rule file: {exc}") from exc
     if anchor_doc_id not in lhs_map:
         raise DecodeError(f"rule anchor {anchor_doc_id} is not a node of the lhs")

@@ -392,3 +392,57 @@ def test_run_rejects_non_numeric_arguments(registry, programs, tmp_path, capsys)
         assert _one_error_line(captured.err), captured.err
     assert main(["run", str(ints), "--entry", "main", "--args", "-7"]) == 0
     assert capsys.readouterr().out == "-7\n"
+
+
+@pytest.mark.parametrize("ids", [["stdlib.quantum"], ["acme.x", "acme.x"]],
+                         ids=["stdlib", "repeated"])
+def test_extension_id_clash_is_a_usage_error(programs, tmp_path, capsys, ids):
+    from hugr_ir.ops import Extension
+    from hugr_ir.serial import encode_extension
+
+    flags = []
+    for k, ext_id in enumerate(ids):
+        path = tmp_path / f"x{k}.hugrext.json"
+        path.write_text(encode_extension(Extension(ext_id)))
+        flags += ["--ext", str(path)]
+    assert main(["validate", programs["rotation_pipeline"], *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _one_error_line(captured.err) and "already registered" in captured.err, captured.err
+
+
+_COLD_START = """
+import sys
+import hugr_ir
+hugr_ir.stdlib()
+from hugr_ir.cli import main
+circuit, rule, out = sys.argv[1:]
+for argv in (["validate", circuit], ["optimize", circuit, "--rules", rule, "-o", out],
+             ["structure", circuit, "-o", out], ["roundtrip", circuit]):
+    assert main(argv) == 0, argv
+assert "numpy" not in sys.modules, "numpy was loaded"
+from hugr_ir import unitary_of
+assert hugr_ir.Interpreter is hugr_ir.interp.Interpreter and callable(unitary_of)
+try:
+    hugr_ir.Interpretr
+except AttributeError:
+    pass
+else:
+    raise SystemExit("a misspelt name resolved")
+"""
+
+
+def test_only_the_evaluator_loads_numpy(registry, tmp_path):
+    import os
+
+    import hugr_ir
+
+    circuit = tmp_path / "hh.hugr.json"
+    circuit.write_text(encode(chain_circuit(["H", "H"], registry)))
+    rule = tmp_path / "hh.hugrrule.json"
+    rule.write_text(encode_rule(hh_cancel(registry)))
+    src = os.path.dirname(os.path.dirname(hugr_ir.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START, str(circuit), str(rule), str(tmp_path / "out.json")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr

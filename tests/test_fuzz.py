@@ -1,28 +1,39 @@
-"""Seeded mutations of the fixture documents: decode raises only DecodeError.
+"""Seeded mutations of the fixture documents, rule files and extension
+files: their readers raise only DecodeError.
 
-Each mutant changes one place in a fixture's canonical JSON document: it
-replaces a value with junk, deletes a key or list item, or adds a junk key.
-Decoding a mutant either succeeds or raises :class:`DecodeError`; a graph
-that decodes then validates without raising.
+Each mutant changes one place in a canonical JSON document: it replaces a
+value with junk, deletes a key or list item, or adds a junk key. Decoding a
+mutant either succeeds or raises :class:`DecodeError`; a graph that decodes
+then validates without raising, and the ``hugr`` commands reading mutant
+files exit with a status rather than a traceback.
 """
 
 import copy
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
 from hugr_ir import Hugr, decode, encode
+from hugr_ir.cli import main
 from hugr_ir.programs import all_programs
-from hugr_ir.serial import DecodeError
+from hugr_ir.rules import standard_rules
+from hugr_ir.serial import (
+    DecodeError,
+    decode_extension,
+    decode_rule,
+    encode_extension,
+    encode_rule,
+)
 from hugr_ir.validate import validate
+
+from generators import chain_circuit
 
 MUTANTS = 4000
 
-# Integers stay small: a block's port rows hold one entry per successor, so a
-# huge successor count is a memory bomb rather than a malformed term.
 _JUNK = [
-    None, True, False, -1, 0, 1, 3, 2.5, -0.0, "", "x", "Value", [], [0], [0, 0],
+    None, True, False, -1, 0, 1, 3, 10**9, 2**64, 2.5, -0.0, "", "x", "Value", [], [0], [0, 0],
     [[0, 0]], [0, 0, 0], {}, {"ext": 1}, {"ext": "a", "name": []}, {"enum": 0},
     {"enum": "two"}, {"var": -1}, {"fn": 1}, {"params": 2, "inputs": [], "outputs": [{"var": 5}]},
     {"kind": "Nope"}, {"kind": "Const", "value": [1], "type": {"enum": 2}},
@@ -80,3 +91,64 @@ def test_decode_raises_only_decode_errors(registry):
             escapes.append(("validate " + type(exc).__name__, str(exc)[:80], text[:200]))
     assert escapes == []
     assert 0 < decoded < MUTANTS  # the mutants reach both outcomes
+
+
+# nesting deeper than the JSON reader's recursion limit
+_DEEP = ["[" * 100_000, '{"a":' * 100_000, '{"lhs":' + "[" * 100_000,
+         '{"id":"a","types":' + "[" * 100_000]
+
+
+def _mutants(texts: list[str], count: int, seed: int) -> list[str]:
+    paths = [list(_paths(json.loads(text))) for text in texts]
+    rng = random.Random(seed)
+    return [_mutate(texts[i % len(texts)], paths[i % len(texts)], rng) for i in range(count)]
+
+
+@pytest.mark.filterwarnings("ignore:ignoring unknown document field")
+def test_rule_and_extension_readers_raise_only_decode_errors(registry):
+    escapes = []
+    for read, texts in [
+        (decode_rule, [encode_rule(r) for r in standard_rules(registry)]),
+        (decode_extension, [encode_extension(e) for e in registry.extensions()]),
+    ]:
+        decoded = 0
+        for text in _mutants(texts, 600, 1970) + _DEEP:
+            try:
+                read(text)
+            except DecodeError:
+                continue
+            except Exception as exc:  # every other exception is an escape
+                escapes.append((read.__name__, type(exc).__name__, str(exc)[:80], text[:200]))
+                continue
+            decoded += 1
+        assert 0 < decoded < 600, read.__name__  # the mutants reach both outcomes
+    assert escapes == []
+
+
+@pytest.mark.filterwarnings("ignore:ignoring unknown document field")
+def test_commands_exit_with_a_status_on_mutant_files(registry, tmp_path, capsys):
+    circuit = tmp_path / "c.hugr.json"
+    circuit.write_text(encode(chain_circuit(["H", "H", "X", "X", "H"], registry)))
+    rules = [encode_rule(r) for r in standard_rules(registry)]
+    # renamed, so that a mutant that keeps its id does not clash with the stdlib
+    exts = [encode_extension(replace(e, id=f"fuzz.{e.id}")) for e in registry.extensions()]
+    commands = [
+        (["optimize", str(circuit), "--budget", "20", "-o", str(tmp_path / "out.hugr.json"),
+          "--rules"], _mutants(rules, 150, 8) + _DEEP),
+        (["validate", str(circuit), "--ext"], _mutants(exts, 150, 9) + _DEEP),
+    ]
+    escapes = []
+    for argv, mutants in commands:
+        statuses = set()
+        for k, text in enumerate(mutants):
+            path = tmp_path / f"mutant{k}.json"
+            path.write_text(text)
+            try:
+                status = main(argv + [str(path)])
+            except Exception as exc:  # a traceback
+                escapes.append((argv[0], type(exc).__name__, str(exc)[:80], text[:200]))
+                continue
+            statuses.add(status)
+            assert "Traceback" not in capsys.readouterr().err
+        assert statuses <= {0, 1, 2} and len(statuses) > 1, (argv[0], statuses)
+    assert escapes == []

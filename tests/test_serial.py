@@ -6,11 +6,33 @@ import re
 import numpy as np
 import pytest
 
-from hugr_ir import Hugr, decode, encode, register, stdlib, structurally_equal
-from hugr_ir.ops import Extension, FuncDecl, OpDef, monomorphic
+from hugr_ir import (
+    Hugr,
+    decode,
+    encode,
+    in_port,
+    out_port,
+    register,
+    serial,
+    stdlib,
+    structurally_equal,
+)
+from hugr_ir.ops import (
+    BasicBlock,
+    ControlFlow,
+    ExitBlock,
+    Extension,
+    FuncDecl,
+    FuncDef,
+    Input,
+    OpDef,
+    Output,
+    Value,
+    monomorphic,
+)
 from hugr_ir.programs import all_programs, external_call, rus_cfg
 from hugr_ir.serial import DecodeError, from_document
-from hugr_ir.types import QUBIT, Signature
+from hugr_ir.types import QUBIT, ExtType, Signature
 from hugr_ir.validate import Code, validate
 
 from generators import main_region, random_circuit, random_reducible_cfg
@@ -358,7 +380,12 @@ def test_malformed_extension_and_rule_files_are_decode_errors(registry):
     twice = {"id": "a", "ops": [op, op]}
     rule = json.loads(encode_rule(standard_rules(registry)[0]))
     rule["anchor"] = "x"
-    for read, doc in [(decode_extension, ext), (decode_extension, twice), (decode_rule, rule)]:
+    mistyped = [{"id": [1]}, {"id": "a", "types": [{"name": "t", "linear": "false"}]},
+                {"id": "a", "types": [{"name": 1, "linear": True}]},
+                {"id": "a", "types": [{"name": "t", "linear": True, "arity": True}]},
+                {"id": "a", "ops": [{**op, "name": 1}]}, {"id": "a", "ops": [{**op, "doc": 1}]}]
+    files = [(decode_extension, ext), (decode_extension, twice), (decode_rule, rule)]
+    for read, doc in files + [(decode_extension, doc) for doc in mistyped]:
         with pytest.raises(DecodeError):
             read(json.dumps(doc))
 
@@ -370,3 +397,71 @@ def test_more_successors_than_edges_is_a_decode_error():
     # one port per successor would exhaust memory; the count is refused first
     with pytest.raises(DecodeError, match=r"^nodes\[1\]\.op: 1000000000 successors but 0 edges"):
         from_document(doc)
+
+
+def _block_document():
+    """A block with two successors, in a document of exactly two edges."""
+    h = Hugr()
+    block = h.add_node(BasicBlock((), 2), h.root)
+    exit_ = h.add_node(ExitBlock(()), h.root)
+    for k in range(2):
+        h.connect(out_port(block, k), in_port(exit_, 0), ControlFlow())
+    return json.loads(encode(h))
+
+
+def test_the_successor_bound_holds_on_a_memo_hit():
+    doc = _block_document()
+    h = from_document(doc)  # keeps the block op, and so its memo entry, alive
+    assert serial._OPS.get(serial._term_key(doc["nodes"][1]["op"])) is BasicBlock((), 2)
+    short = dict(doc, edges=doc["edges"][:1])
+    with pytest.raises(DecodeError, match=r"^nodes\[1\]\.op: 2 successors but 1 edges"):
+        from_document(short)
+    assert encode(h) == encode(from_document(doc))
+
+
+def test_the_term_memo_drops_the_terms_of_dead_graphs():
+    import gc
+
+    probe = ExtType("memo.probe", "t")
+    h = Hugr()
+    f = h.add_node(FuncDef("probe", monomorphic((probe,), (probe,))), h.root)
+    inp = h.add_node(Input((probe,)), f)
+    out = h.add_node(Output((probe,)), f)
+    h.connect(out_port(inp, 0), in_port(out, 0), Value(probe))
+    doc = json.loads(encode(h))
+    ops = [serial._term_key(n["op"]) for n in doc["nodes"][1:]]  # all but the module
+    kinds = [serial._term_key((e["kind"], e.get("type"))) for e in doc["edges"]]
+    again = from_document(doc)
+    assert all(k in serial._OPS for k in ops) and all(k in serial._KINDS for k in kinds)
+    del h, f, inp, out, again
+    gc.collect()
+    assert not any(k in serial._OPS for k in ops)
+    assert not any(k in serial._KINDS for k in kinds)
+
+
+def test_concurrent_decoding_yields_the_same_bytes(registry):
+    import sys
+    import threading
+
+    texts = [encode(h) for h in all_programs(registry).values()]
+    expected = [encode(decode(t)) for t in texts]
+    results: list[list[str]] = []
+    start = threading.Barrier(8)
+
+    def decode_all():
+        start.wait()
+        # each round's graphs die before the next, so terms are read afresh
+        results.append([encode(decode(t)) for _ in range(20) for t in texts])
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=decode_all) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads) and len(results) == 8
+    assert all(r == expected * 20 for r in results)
