@@ -6,6 +6,12 @@ to an incoming port and carry an explicit kind (value, static or control
 flow). Children order is significant everywhere: region inputs/outputs, case
 order, CFG entry.
 
+``Port`` and ``Edge`` are named tuples: immutable, and built, hashed and
+compared field by field in C, so an edge costs three small tuples. ``Node``
+is a slotted record whose edge lists are sized from its op's port rows.
+:meth:`Hugr.from_preorder` builds a whole hierarchy in one pass, as the
+decoder does; edges always go through :meth:`Hugr.connect`.
+
 Node ids are never reused within one graph instance, which keeps undo logs
 and rewrite deltas unambiguous. Mutation requires exclusive access; reads are
 safe to share.
@@ -18,8 +24,8 @@ until the version next moves, so any mutation invalidates all of them.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Callable, TypeVar
+from dataclasses import dataclass
+from typing import Callable, Iterable, NamedTuple, TypeVar
 
 from .ops import ControlFlow, OpKind, PortKind, Static, Value
 
@@ -36,8 +42,10 @@ class Direction(enum.Enum):
     OUT = "out"
 
 
-@dataclass(frozen=True)
-class Port:
+_IN, _OUT = Direction.IN, Direction.OUT  # module names read faster than members
+
+
+class Port(NamedTuple):
     """A numbered connection point on a node."""
 
     node: int
@@ -48,16 +56,19 @@ class Port:
         return f"{self.node}.{self.direction.value}{self.offset}"
 
 
+# tuple.__new__ builds a named tuple without its Python-level __new__
+_new = tuple.__new__
+
+
 def out_port(node: int, offset: int = 0) -> Port:
-    return Port(node, Direction.OUT, offset)
+    return _new(Port, (node, _OUT, offset))
 
 
 def in_port(node: int, offset: int = 0) -> Port:
-    return Port(node, Direction.IN, offset)
+    return _new(Port, (node, _IN, offset))
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """A recorded connection; ``src`` is always outgoing, ``dst`` incoming."""
 
     src: Port
@@ -65,22 +76,23 @@ class Edge:
     kind: PortKind
 
 
-@dataclass
 class Node:
-    id: int
-    parent: int | None
-    op: OpKind
-    children: list[int] = field(default_factory=list)
-    # one edge list per port, in insertion order
-    in_edges: list[list[Edge]] = field(default_factory=list)
-    out_edges: list[list[Edge]] = field(default_factory=list)
+    """One node: its parent, op, ordered children, and one edge list per port
+    in insertion order, sized from the op's port rows."""
 
-    def __post_init__(self) -> None:
-        ins, outs = self.rows
-        if not self.in_edges:
-            self.in_edges = [[] for _ in ins]
-        if not self.out_edges:
-            self.out_edges = [[] for _ in outs]
+    __slots__ = ("id", "parent", "op", "children", "in_edges", "out_edges")
+
+    def __init__(self, id: int, parent: int | None, op: OpKind,
+                 children: list[int] | None = None,
+                 in_edges: list[list[Edge]] | None = None,
+                 out_edges: list[list[Edge]] | None = None) -> None:
+        self.id = id
+        self.parent = parent
+        self.op = op
+        self.children = [] if children is None else children
+        ins, outs = op.rows
+        self.in_edges = [[] for _ in ins] if in_edges is None else in_edges
+        self.out_edges = [[] for _ in outs] if out_edges is None else out_edges
 
     @property
     def rows(self) -> tuple[tuple[PortKind, ...], tuple[PortKind, ...]]:
@@ -154,7 +166,7 @@ class Hugr:
     def port_kind(self, port: Port) -> PortKind:
         node = self.node(port.node)
         ins, outs = node.rows
-        row = ins if port.direction is Direction.IN else outs
+        row = ins if port.direction is _IN else outs
         if not 0 <= port.offset < len(row):
             raise GraphError(f"port {port!r} out of range for {node.op!r}")
         return row[port.offset]
@@ -165,14 +177,14 @@ class Hugr:
     def _edge_list(self, port: Port) -> list[Edge]:
         """The edges recorded at ``port`` (the list itself, not a copy)."""
         node = self.node(port.node)
-        row = node.in_edges if port.direction is Direction.IN else node.out_edges
+        row = node.in_edges if port.direction is _IN else node.out_edges
         if not 0 <= port.offset < len(row):
             raise GraphError(f"port {port!r} out of range for {node.op!r}")
         return row[port.offset]
 
     def neighbours(self, port: Port) -> list[Port]:
         """Ports connected to ``port`` by any edge, in insertion order."""
-        if port.direction is Direction.IN:
+        if port.direction is _IN:
             return [e.src for e in self.edges_at(port)]
         return [e.dst for e in self.edges_at(port)]
 
@@ -216,13 +228,34 @@ class Hugr:
         self.version += 1
         return nid
 
+    @classmethod
+    def from_preorder(cls, root_op: OpKind, nodes: Iterable[tuple[int, OpKind]]) -> "Hugr":
+        """A graph of ``root_op`` and one node per ``(parent, op)`` pair, each
+        appended to ``parent``'s children, which must be an earlier node.
+
+        The ids are those of ``add_node`` calls in the same order: the root
+        is 0 and the ``k``-th pair is node ``k + 1``.
+        """
+        h = cls(root_op)
+        table = h._nodes
+        nid = h._next_id
+        for parent, op in nodes:
+            pnode = table.get(parent)
+            if pnode is None:
+                raise GraphError(f"unknown node {parent}")
+            table[nid] = Node(nid, parent, op)
+            pnode.children.append(nid)
+            nid += 1
+        h._next_id = nid
+        return h
+
     def connect(self, src: Port, dst: Port, kind: PortKind) -> Edge:
         """Record an edge. Typing is checked later by validation; direction,
         port range and duplication are checked here."""
-        if src.direction is not Direction.OUT or dst.direction is not Direction.IN:
+        if src.direction is not _OUT or dst.direction is not _IN:
             raise GraphError(f"edge must run outgoing -> incoming, got {src!r} -> {dst!r}")
         outs, ins = self._edge_list(src), self._edge_list(dst)
-        edge = Edge(src, dst, kind)
+        edge = _new(Edge, (src, dst, kind))
         if edge in (ins if len(ins) <= len(outs) else outs):
             raise GraphError(f"duplicate edge {src!r} -> {dst!r}")
         outs.append(edge)

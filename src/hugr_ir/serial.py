@@ -9,14 +9,21 @@ equality oracle used by tests.
 Ops and types are interned, so a document repeats few distinct terms. The
 encoder writes the document as text: it dumps each distinct op term, and
 each distinct edge kind with its type term, to JSON once, and formats the
-node and edge records around that text. The decoder keeps one memo per
-process, keyed by the ``marshal`` bytes of each op term and edge kind and
-type term, so each distinct term is read once while the object it names is
-alive. The memo holds its objects weakly, so ops still die with the last
-graph that uses them. Those bytes keep JSON ``1``, ``1.0`` and ``true``
-apart, and ``0.0`` from ``-0.0``. Every
-malformed term raises :class:`DecodeError` naming its place in the
-document, such as ``edges[3].type``.
+node and edge records around that text. The decoder memoises in two
+levels, both keyed by the ``marshal`` bytes of each op term and edge kind
+and type term. One memo per process holds its objects weakly, so each
+distinct term is read once while the object it names is alive, and ops
+still die with the last graph that uses them. In front of it, a plain dict
+per document answers a repeated term with one lookup. Those bytes keep JSON
+``1``, ``1.0`` and ``true`` apart, and ``0.0`` from ``-0.0``. The decoder
+builds the hierarchy in one pass (:meth:`Hugr.from_preorder`) and records
+every edge through :meth:`Hugr.connect`.
+
+Integer fields are strict: node ``id`` and ``parent``, edge ports,
+``successors``, ``cardinality``, ``{"enum"}``, ``{"var"}``, ``params`` and a
+rule's ``anchor`` must be JSON integers, and ``true`` is not one. Every
+malformed record or term raises :class:`DecodeError` naming its place in
+the document, such as ``nodes[2]`` or ``edges[3].type``.
 
 File conventions: ``.hugr.json`` for graphs, ``.hugrext.json`` for extension
 declarations, ``.hugrrule.json`` for rewrite rules.
@@ -31,7 +38,7 @@ import weakref
 from functools import partial
 from typing import Any, Callable, Iterable, NamedTuple
 
-from .graph import Direction, GraphError, Hugr, Port
+from .graph import GraphError, Hugr, in_port, out_port
 from .ops import (
     BasicBlock,
     Call,
@@ -92,9 +99,14 @@ _KINDS: weakref.WeakValueDictionary[bytes, PortKind] = weakref.WeakValueDictiona
 
 
 def _term_key(term: Any) -> bytes:
-    """The exact JSON value of ``term``, as a memo key."""
+    """The exact JSON value of ``term``, as a memo key.
+
+    Equal keys mean equal values. Equal values that share their strings
+    differently may get two keys; that costs one more read of the term, and
+    both reads return the same interned object.
+    """
     try:
-        return marshal.dumps(term, 2)  # version 2 writes no back-references
+        return marshal.dumps(term)
     except ValueError:
         raise DecodeError(f"not a JSON term: {term!r}") from None
 
@@ -123,11 +135,11 @@ def term_to_type(term: Any) -> Type:
                 return ExtType(_str(term["ext"]), _str(term["name"]),
                                _term_to_row(term.get("args", ())))
             if "enum" in term:
-                return EnumType(int(term["enum"]))
+                return EnumType(_int(term["enum"]))
             if "fn" in term:
                 return FunctionType(_term_to_sig(term["fn"]))
             if "var" in term:
-                return VarType(int(term["var"]))
+                return VarType(_int(term["var"]))
         except _MALFORMED as exc:
             raise DecodeError(f"malformed type term {term!r}: {exc}") from exc
     raise DecodeError(f"malformed type term {term!r}")
@@ -158,7 +170,7 @@ def scheme_to_term(s: PolySignature) -> Any:
 
 def term_to_scheme(term: Any) -> PolySignature:
     try:
-        return PolySignature(int(term["params"]), _term_to_sig(term))
+        return PolySignature(_int(term["params"]), _term_to_sig(term))
     except _MALFORMED as exc:
         raise DecodeError(f"malformed signature scheme {term!r}") from exc
 
@@ -185,6 +197,7 @@ def _of(cls: type, value: Any) -> Any:
 
 
 _str = partial(_of, str)
+_int = partial(_of, int)
 
 
 def _no_types(value: Any) -> tuple[Type, ...]:
@@ -193,7 +206,7 @@ def _no_types(value: Any) -> tuple[Type, ...]:
 
 _AS_IS = _Codec(_same, _same, _no_types)
 _STR = _Codec(_same, _str, _no_types)
-_INT = _Codec(_same, int, _no_types)
+_INT = _Codec(_same, _int, _no_types)
 _TYPE = _Codec(type_to_term, term_to_type, lambda t: (t,))
 _ROW = _Codec(_row, _term_to_row, _same)
 _SIG = _Codec(_sig_to_term, _term_to_sig, lambda s: s.inputs + s.outputs)
@@ -381,26 +394,34 @@ def _from_document_mapped(doc: Any) -> tuple[Hugr, dict[int, int]]:
     except (KeyError, TypeError) as exc:
         raise DecodeError(f"document is missing nodes/edges: {exc}") from exc
 
+    # a plain dict per document in front of the weak process-wide memo, so a
+    # repeated term costs one C-level lookup; a document's first read of an
+    # op also checks it against that document's edge count
+    ops: dict[bytes, OpKind] = {}
+    kinds: dict[bytes, PortKind] = {}
     by_id: dict[int, OpKind] = {}
     children: dict[int | None, list[int]] = {}
     for i, rec in enumerate(node_recs):
         try:
-            nid, parent, term = int(rec["id"]), rec["parent"], rec["op"]
-            if parent is not None:
-                parent = int(parent)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            nid, parent, term = rec["id"], rec["parent"], rec["op"]
+        except (KeyError, TypeError) as exc:
             raise DecodeError(f"nodes[{i}]: malformed node record {rec!r}") from exc
+        if type(nid) is not int or (parent is not None and type(parent) is not int):
+            raise DecodeError(f"nodes[{i}]: malformed node record {rec!r}")
         if nid in by_id:
             raise DecodeError(f"nodes[{i}]: duplicate node id {nid}")
         try:
             key = _term_key(term)
-            op = _OPS.get(key)
+            op = ops.get(key)
             if op is None:
-                op = _OPS[key] = term_to_op(term)
-            # a valid block has a control edge, and so a port, per successor
-            if isinstance(op, BasicBlock) and op.successor_count > len(edge_recs):
-                raise DecodeError(f"{op.successor_count} successors but "
-                                  f"{len(edge_recs)} edges in the document")
+                op = _OPS.get(key)
+                if op is None:
+                    op = _OPS[key] = term_to_op(term)
+                # a valid block has a control edge, and so a port, per successor
+                if isinstance(op, BasicBlock) and op.successor_count > len(edge_recs):
+                    raise DecodeError(f"{op.successor_count} successors but "
+                                      f"{len(edge_recs)} edges in the document")
+                ops[key] = op
         except DecodeError as exc:
             raise DecodeError(f"nodes[{i}].op: {exc}") from exc
         by_id[nid] = op
@@ -413,35 +434,41 @@ def _from_document_mapped(doc: Any) -> tuple[Hugr, dict[int, int]]:
         if parent is not None and parent not in by_id:
             raise DecodeError(f"node references unknown parent {parent}")
 
-    h = Hugr(by_id[roots[0]])
-    idmap = {roots[0]: h.root}
-    stack = [(c, h.root) for c in reversed(children.get(roots[0], []))]
+    # new ids in hierarchy preorder, as add_node calls in that order give
+    idmap = {roots[0]: 0}
+    nodes: list[tuple[int, OpKind]] = []
+    stack = [(c, 0) for c in reversed(children.get(roots[0], []))]
     while stack:
         nid, parent = stack.pop()
-        new = h.add_node(by_id[nid], parent)
-        idmap[nid] = new
+        idmap[nid] = new = len(idmap)
+        nodes.append((parent, by_id[nid]))
         stack.extend((c, new) for c in reversed(children.get(nid, [])))
     if len(idmap) != len(by_id):
         raise DecodeError("hierarchy contains unreachable nodes (parent cycle?)")
+    h = Hugr.from_preorder(by_id[roots[0]], nodes)
 
     for i, rec in enumerate(edge_recs):
         try:
             (sn, so), (dn, do) = rec["src"], rec["dst"]
-            sn, so, dn, do = int(sn), int(so), int(dn), int(do)
             name, term = rec["kind"], rec.get("type")
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise DecodeError(f"edges[{i}]: malformed edge record {rec!r}") from exc
+        if not type(sn) is type(so) is type(dn) is type(do) is int:
+            raise DecodeError(f"edges[{i}]: malformed edge record {rec!r}")
         if sn not in idmap or dn not in idmap:
             raise DecodeError(f"edges[{i}]: edge references unknown node in {rec!r}")
         try:
             key = _term_key((name, term))
-            kind = _KINDS.get(key)
+            kind = kinds.get(key)
             if kind is None:
-                kind = _KINDS[key] = _term_to_kind(name, term)
+                kind = _KINDS.get(key)
+                if kind is None:
+                    kind = _KINDS[key] = _term_to_kind(name, term)
+                kinds[key] = kind
         except DecodeError as exc:
             raise DecodeError(f"edges[{i}].type: {exc}") from exc
         try:
-            h.connect(Port(idmap[sn], Direction.OUT, so), Port(idmap[dn], Direction.IN, do), kind)
+            h.connect(out_port(idmap[sn], so), in_port(idmap[dn], do), kind)
         except GraphError as exc:
             raise DecodeError(f"edges[{i}]: cannot connect {rec!r}: {exc}") from exc
     return h, idmap
@@ -477,7 +504,7 @@ def decode_extension(text: str) -> Extension:
         doc = json.loads(text)
         return Extension(
             _str(doc["id"]),
-            tuple(TypeDef(_str(t["name"]), _of(bool, t["linear"]), _of(int, t.get("arity", 0)))
+            tuple(TypeDef(_str(t["name"]), _of(bool, t["linear"]), _int(t.get("arity", 0)))
                   for t in doc.get("types", [])),
             tuple(OpDef(_str(o["name"]), term_to_scheme(o["scheme"]), _str(o.get("doc", "")))
                   for o in doc.get("ops", [])),
@@ -502,7 +529,7 @@ def decode_rule(text: str):
         doc = json.loads(text)
         lhs_h, lhs_map = _from_document_mapped(doc["lhs"])
         rhs = from_document(doc["rhs"])
-        anchor_doc_id = int(doc["anchor"])
+        anchor_doc_id = _int(doc["anchor"])
         name = _str(doc["name"])
     except _MALFORMED as exc:
         raise DecodeError(f"malformed rule file: {exc}") from exc

@@ -120,6 +120,10 @@ class VarType(Type):
 
     index: int
 
+    def __post_init__(self) -> None:
+        if self.index < 0:
+            raise TypeError_(f"type variable index {self.index} is negative")
+
     def __repr__(self) -> str:
         return f"var{self.index}"
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import warnings
 from itertools import permutations
 from typing import Any
 
@@ -62,7 +63,7 @@ from hugr_ir.rewrite import (
     fragment_region,
 )
 from hugr_ir.build import DfBuilder, splice_region
-from hugr_ir.graph import Edge, in_port, out_port
+from hugr_ir.graph import Edge, GraphError, in_port, out_port
 from hugr_ir.structure import (
     CfgView,
     Frag,
@@ -80,7 +81,15 @@ from hugr_ir.structure import (
     _SuperNode,
     _sweep_dead_consts,
 )
-from hugr_ir.serial import FORMAT_VERSION, DecodeError
+from hugr_ir.serial import (
+    _KINDS,
+    _OPS,
+    FORMAT_VERSION,
+    DecodeError,
+    _term_key,
+    _term_to_kind,
+    term_to_op,
+)
 from hugr_ir.types import (
     BOOL,
     F64,
@@ -1233,6 +1242,94 @@ def naive_encode_rule(rule) -> str:
         "rhs": naive_to_document(rule.rhs),
     }
     return json.dumps(doc, separators=(",", ":"))
+
+
+# ── serial: the decoder before the bulk build and strict integers ──
+#
+# ``naive_from_document`` is the graph reader that built the hierarchy with
+# one ``add_node`` per node, coerced record integers with ``int`` and
+# consulted only the process-wide term memo; it is kept verbatim apart from
+# its name. Its op and edge-kind readers are the current ones.
+
+def naive_from_document(doc: Any) -> tuple[Hugr, dict[int, int]]:
+    if not isinstance(doc, dict):
+        raise DecodeError("document must be a JSON object")
+    known = {"version", "extensions_required", "nodes", "edges"}
+    for key in doc:
+        if key not in known:
+            warnings.warn(f"ignoring unknown document field {key!r}", stacklevel=2)
+    if doc.get("version") != FORMAT_VERSION:
+        raise DecodeError(f"unsupported format version {doc.get('version')!r}")
+    try:
+        node_recs = list(doc["nodes"])
+        edge_recs = list(doc["edges"])
+    except (KeyError, TypeError) as exc:
+        raise DecodeError(f"document is missing nodes/edges: {exc}") from exc
+
+    by_id: dict[int, OpKind] = {}
+    children: dict[int | None, list[int]] = {}
+    for i, rec in enumerate(node_recs):
+        try:
+            nid, parent, term = int(rec["id"]), rec["parent"], rec["op"]
+            if parent is not None:
+                parent = int(parent)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise DecodeError(f"nodes[{i}]: malformed node record {rec!r}") from exc
+        if nid in by_id:
+            raise DecodeError(f"nodes[{i}]: duplicate node id {nid}")
+        try:
+            key = _term_key(term)
+            op = _OPS.get(key)
+            if op is None:
+                op = _OPS[key] = term_to_op(term)
+            # a valid block has a control edge, and so a port, per successor
+            if isinstance(op, BasicBlock) and op.successor_count > len(edge_recs):
+                raise DecodeError(f"{op.successor_count} successors but "
+                                  f"{len(edge_recs)} edges in the document")
+        except DecodeError as exc:
+            raise DecodeError(f"nodes[{i}].op: {exc}") from exc
+        by_id[nid] = op
+        children.setdefault(parent, []).append(nid)
+
+    roots = children.get(None, [])
+    if len(roots) != 1:
+        raise DecodeError(f"document must have exactly one root node, found {len(roots)}")
+    for parent in children:
+        if parent is not None and parent not in by_id:
+            raise DecodeError(f"node references unknown parent {parent}")
+
+    h = Hugr(by_id[roots[0]])
+    idmap = {roots[0]: h.root}
+    stack = [(c, h.root) for c in reversed(children.get(roots[0], []))]
+    while stack:
+        nid, parent = stack.pop()
+        new = h.add_node(by_id[nid], parent)
+        idmap[nid] = new
+        stack.extend((c, new) for c in reversed(children.get(nid, [])))
+    if len(idmap) != len(by_id):
+        raise DecodeError("hierarchy contains unreachable nodes (parent cycle?)")
+
+    for i, rec in enumerate(edge_recs):
+        try:
+            (sn, so), (dn, do) = rec["src"], rec["dst"]
+            sn, so, dn, do = int(sn), int(so), int(dn), int(do)
+            name, term = rec["kind"], rec.get("type")
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise DecodeError(f"edges[{i}]: malformed edge record {rec!r}") from exc
+        if sn not in idmap or dn not in idmap:
+            raise DecodeError(f"edges[{i}]: edge references unknown node in {rec!r}")
+        try:
+            key = _term_key((name, term))
+            kind = _KINDS.get(key)
+            if kind is None:
+                kind = _KINDS[key] = _term_to_kind(name, term)
+        except DecodeError as exc:
+            raise DecodeError(f"edges[{i}].type: {exc}") from exc
+        try:
+            h.connect(Port(idmap[sn], Direction.OUT, so), Port(idmap[dn], Direction.IN, do), kind)
+        except GraphError as exc:
+            raise DecodeError(f"edges[{i}]: cannot connect {rec!r}: {exc}") from exc
+    return h, idmap
 
 
 # ── validation before per-op port facts ───────────────────────────

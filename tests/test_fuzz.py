@@ -5,7 +5,8 @@ Each mutant changes one place in a canonical JSON document: it replaces a
 value with junk, deletes a key or list item, or adds a junk key. Decoding a
 mutant either succeeds or raises :class:`DecodeError`; a graph that decodes
 then validates without raising, and the ``hugr`` commands reading mutant
-files exit with a status rather than a traceback.
+files (rules, extensions, and graphs to structure or run) exit with a status
+rather than a traceback.
 """
 
 import copy
@@ -132,10 +133,16 @@ def test_commands_exit_with_a_status_on_mutant_files(registry, tmp_path, capsys)
     rules = [encode_rule(r) for r in standard_rules(registry)]
     # renamed, so that a mutant that keeps its id does not clash with the stdlib
     exts = [encode_extension(replace(e, id=f"fuzz.{e.id}")) for e in registry.extensions()]
+    programs = [encode(h) for h in all_programs(registry).values()]
+    out = str(tmp_path / "out.hugr.json")
     commands = [
-        (["optimize", str(circuit), "--budget", "20", "-o", str(tmp_path / "out.hugr.json"),
-          "--rules"], _mutants(rules, 150, 8) + _DEEP),
+        (["optimize", str(circuit), "--budget", "20", "-o", out, "--rules"],
+         _mutants(rules, 150, 8) + _DEEP),
         (["validate", str(circuit), "--ext"], _mutants(exts, 150, 9) + _DEEP),
+        (["structure", "-o", out], _mutants(programs, 150, 10) + _DEEP),
+        # a short outcome script bounds every run; the arguments fit rotation_pipeline
+        (["run", "--entry", "main", "--outcomes", "1,0,1,1,0,0,1,1", "--args", "0.5,0.25"],
+         _mutants(programs, 150, 11) + _DEEP),
     ]
     escapes = []
     for argv, mutants in commands:

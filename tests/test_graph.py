@@ -3,6 +3,7 @@
 import pytest
 
 from hugr_ir import (
+    Edge,
     GraphError,
     Hugr,
     Value,
@@ -258,3 +259,94 @@ def test_has_edge_and_disconnect_follow_the_edge_lists(registry):
     assert sum(e == edge for e in removed.edges) == 1
     h.restore(removed)
     assert h.has_edge(edge)
+
+
+# ── records ────────────────────────────────────────────────────────
+
+def test_ports_and_edges_are_immutable():
+    p = out_port(1, 0)
+    e = Edge(p, in_port(2, 0), Value(QUBIT))
+    for record, field in [(p, "node"), (p, "offset"), (p, "direction"), (e, "src"), (e, "kind")]:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    assert p == out_port(1, 0) and e.kind == Value(QUBIT)
+
+
+def test_port_and_edge_equality_and_hash_go_field_by_field():
+    p = out_port(1, 2)
+    assert p == out_port(1, 2) and hash(p) == hash(out_port(1, 2))
+    assert hash(p) == hash((p.node, p.direction, p.offset))
+    assert len({p, out_port(1, 2), out_port(1, 3), out_port(0, 2), in_port(1, 2)}) == 4
+    dst = in_port(4, 0)
+    e = Edge(p, dst, Value(QUBIT))
+    assert e == Edge(out_port(1, 2), in_port(4, 0), Value(QUBIT))
+    assert hash(e) == hash(Edge(out_port(1, 2), in_port(4, 0), Value(QUBIT)))
+    assert hash(e) == hash((e.src, e.dst, e.kind))
+    assert e != Edge(p, dst, Value(BOOL))  # the kind counts
+    assert e != Edge(p, in_port(4, 1), Value(QUBIT))
+    assert len({e, Edge(p, dst, Value(QUBIT)), Edge(p, dst, Value(BOOL))}) == 2
+
+
+def test_port_and_edge_repr():
+    assert repr(out_port(3, 1)) == "3.out1"
+    assert repr(in_port(0)) == "0.in0"
+    assert repr(Edge(out_port(3), in_port(4, 2), Value(QUBIT))) == \
+        f"Edge(src=3.out0, dst=4.in2, kind={Value(QUBIT)!r})"
+
+
+def _rebuilt(h: Hugr, bulk: bool) -> Hugr:
+    """``h`` with ids in hierarchy preorder, built in one pass or node by node,
+    then given ``h``'s edges in its own order."""
+    order = h.preorder()
+    idmap = {old: new for new, old in enumerate(order)}
+    nodes = [(idmap[h.parent(n)], h.op(n)) for n in order[1:]]
+    if bulk:
+        g = Hugr.from_preorder(h.op(h.root), nodes)
+    else:
+        g = Hugr(h.op(h.root))
+        for parent, op in nodes:
+            g.add_node(op, parent)
+    for e in h.all_edges():
+        g.connect(out_port(idmap[e.src.node], e.src.offset),
+                  in_port(idmap[e.dst.node], e.dst.offset), e.kind)
+    return g
+
+
+def test_bulk_build_matches_node_by_node(registry):
+    from hugr_ir.programs import all_programs
+
+    for name, h in all_programs(registry).items():
+        bulk, single = _rebuilt(h, True), _rebuilt(h, False)
+        assert len(bulk) == len(single) == len(h)
+        for n in single.preorder():
+            a, b = bulk.node(n), single.node(n)
+            assert (a.parent, a.op, a.children) == (b.parent, b.op, b.children), (name, n)
+            assert (a.in_edges, a.out_edges) == (b.in_edges, b.out_edges), (name, n)
+        assert encode(bulk) == encode(h)
+        # the next fresh id is the same too
+        assert bulk.add_node(Case(), bulk.root) == single.add_node(Case(), single.root)
+
+
+def test_bulk_build_needs_earlier_parents():
+    with pytest.raises(GraphError):
+        Hugr.from_preorder(Module(), [(0, Case()), (3, Case())])
+    h = Hugr.from_preorder(Module(), [(0, Case()), (1, Case()), (0, Case())])
+    assert h.children(0) == [1, 3] and h.children(1) == [2]
+
+
+def test_copy_shares_no_mutable_list(registry):
+    from hugr_ir.programs import measurement_branch
+
+    h = measurement_branch(registry)
+    c = h.copy()
+    for n in h.preorder():
+        a, b = h.node(n), c.node(n)
+        assert a is not b and a.children is not b.children
+        for mine, theirs in [(a.in_edges, b.in_edges), (a.out_edges, b.out_edges)]:
+            assert mine == theirs and mine is not theirs
+            assert not any(x is y for x, y in zip(mine, theirs))
+    before = encode(h)
+    for e in c.all_edges():
+        c.disconnect(e)
+    c.add_node(Case(), c.root)
+    assert encode(h) == before

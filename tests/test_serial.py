@@ -282,7 +282,22 @@ def test_rules_encode_as_before(registry):
     {"kind": "LoadConst", "type": {"enum": 0}},
     {"kind": "FuncDecl", "name": "f",
      "scheme": {"params": 0, "inputs": [{"var": 0}], "outputs": []}},
-], ids=["cardinality", "successors", "enum", "unbound-var"])
+    # integer fields take JSON integers only: int() would coerce these
+    {"kind": "Conditional", "cardinality": "2", "inputs": [], "outputs": []},
+    {"kind": "Conditional", "cardinality": 2.0, "inputs": [], "outputs": []},
+    {"kind": "BasicBlock", "inputs": [], "successors": 0.0},
+    {"kind": "LoadConst", "type": {"enum": 2.7}},
+    {"kind": "LoadConst", "type": {"enum": True}},
+    {"kind": "FuncDecl", "name": "f",
+     "scheme": {"params": 1.0, "inputs": [{"var": 0}], "outputs": []}},
+    {"kind": "FuncDecl", "name": "f",
+     "scheme": {"params": 1, "inputs": [{"var": False}], "outputs": []}},
+    {"kind": "Call", "scheme": {"params": 0, "inputs": [{"var": -1}], "outputs": []}},
+    {"kind": "FuncDecl", "name": "f",
+     "scheme": {"params": 1, "inputs": [{"var": -1}], "outputs": []}},
+], ids=["cardinality", "successors", "enum", "unbound-var", "cardinality-str",
+        "cardinality-float", "successors-float", "enum-float", "enum-bool", "params-float",
+        "var-bool", "negative-var-call", "negative-var"])
 def test_malformed_op_terms_are_decode_errors(term):
     doc = json.loads(encode(Hugr()))
     doc["nodes"].append({"id": 1, "parent": 0, "op": term})
@@ -369,6 +384,28 @@ def test_decode_errors_name_the_bad_term(registry, place, junk, where):
         from_document(doc)
 
 
+_RECORD_INTEGERS = {"id": ("nodes", 1, "id"), "parent": ("nodes", 2, "parent"),
+                    "src-node": ("edges", 0, "src", 0), "src-port": ("edges", 0, "src", 1),
+                    "dst-node": ("edges", 0, "dst", 0), "dst-port": ("edges", 0, "dst", 1)}
+
+
+# each loose value is one that int() maps back to the same integer
+@pytest.mark.parametrize("field,loose", [(f, loose) for f in _RECORD_INTEGERS for loose in (float, str)]
+                         + [(f, bool) for f in ("id", "parent", "src-node", "src-port")])
+def test_record_integers_must_be_json_integers(registry, field, loose):
+    doc = json.loads(encode(external_call(registry)))
+    *path, key = place = _RECORD_INTEGERS[field]
+    target = doc
+    for k in path:
+        target = target[k]
+    value = target[key]
+    target[key] = loose(value)
+    assert int(target[key]) == value
+    where = f"{place[0]}[{place[1]}]"
+    with pytest.raises(DecodeError, match=rf"^{re.escape(where)}: malformed"):
+        from_document(doc)
+
+
 def test_malformed_extension_and_rule_files_are_decode_errors(registry):
     from hugr_ir.ops import QUANTUM_EXTENSION
     from hugr_ir.rules import standard_rules
@@ -379,12 +416,14 @@ def test_malformed_extension_and_rule_files_are_decode_errors(registry):
     op = {"name": "f", "scheme": {"params": 0, "inputs": [], "outputs": []}}
     twice = {"id": "a", "ops": [op, op]}
     rule = json.loads(encode_rule(standard_rules(registry)[0]))
-    rule["anchor"] = "x"
+    anchor, rule["anchor"] = rule["anchor"], "x"
     mistyped = [{"id": [1]}, {"id": "a", "types": [{"name": "t", "linear": "false"}]},
                 {"id": "a", "types": [{"name": 1, "linear": True}]},
                 {"id": "a", "types": [{"name": "t", "linear": True, "arity": True}]},
                 {"id": "a", "ops": [{**op, "name": 1}]}, {"id": "a", "ops": [{**op, "doc": 1}]}]
+    anchors = [dict(rule, anchor=loose(anchor)) for loose in (float, str)]
     files = [(decode_extension, ext), (decode_extension, twice), (decode_rule, rule)]
+    files += [(decode_rule, doc) for doc in anchors]
     for read, doc in files + [(decode_extension, doc) for doc in mistyped]:
         with pytest.raises(DecodeError):
             read(json.dumps(doc))
