@@ -1,14 +1,15 @@
 """Hierarchical typed port-graph IR for mixed quantum-classical programs.
 
-Only the reference evaluator (``hugr run``, :class:`Interpreter`,
-:func:`unitary_of` and the rest of :mod:`hugr_ir.interp`) needs numpy. Its
-names are imported on first access, so reading, validating, rewriting,
-structuring and writing graphs never load numpy.
+Importing the package loads the types, ops, graph, serial and validate
+modules: what reading, checking and writing a graph needs. The modules only
+some commands need are imported on first access to one of their names:
+:mod:`~hugr_ir.build`, :mod:`~hugr_ir.rewrite` (``hugr optimize``),
+:mod:`~hugr_ir.structure` (``hugr structure``) and the reference evaluator
+:mod:`~hugr_ir.interp` (``hugr run``), which alone needs numpy.
 """
 
 import importlib
 
-from .build import CfgBuilder, DfBuilder, ModuleBuilder, new_module, splice_region
 from .graph import Direction, Edge, GraphError, Hugr, Port, in_port, out_port
 from .ops import (
     BasicBlock,
@@ -41,30 +42,7 @@ from .ops import (
     stdlib,
     value_signature,
 )
-from .rewrite import (
-    Match,
-    Pattern,
-    RewriteDelta,
-    RewriteRule,
-    StaleMatch,
-    ValidationFailed,
-    WouldCreateCycle,
-    apply,
-    find_matches,
-    saturate,
-    undo,
-    wildcard,
-)
 from .serial import DecodeError, decode, encode, structurally_equal
-from .structure import (
-    CfgView,
-    IrreducibleCfg,
-    dominators,
-    is_reducible,
-    loop_candidates,
-    structure_all,
-    structure_cfg,
-)
 from .types import (
     BOOL,
     F64,
@@ -86,15 +64,24 @@ from .validate import Code, Diagnostic, validate, validate_region
 
 __version__ = "0.1.0"
 
-_EVALUATOR = frozenset({
-    "EnumValue", "F64Value", "FnValue", "I64Value", "Interpreter", "InterpError", "QubitValue",
-    "Scripted", "Seeded", "bool_value", "run", "state_fidelity", "unitary_fidelity", "unitary_of",
-})
+# the names of the modules only some commands need, imported on first access
+_LAZY = {name: module for module, names in {
+    "build": ("CfgBuilder", "DfBuilder", "ModuleBuilder", "new_module", "splice_region"),
+    "interp": ("EnumValue", "F64Value", "FnValue", "I64Value", "Interpreter", "InterpError",
+               "QubitValue", "Scripted", "Seeded", "bool_value", "run", "state_fidelity",
+               "unitary_fidelity", "unitary_of"),
+    "rewrite": ("Match", "Pattern", "RewriteDelta", "RewriteRule", "StaleMatch",
+                "ValidationFailed", "WouldCreateCycle", "apply", "find_matches", "saturate",
+                "undo", "wildcard"),
+    "structure": ("CfgView", "IrreducibleCfg", "dominators", "is_reducible", "loop_candidates",
+                  "structure_all", "structure_cfg"),
+}.items() for name in (module, *names)}
 
 
 def __getattr__(name: str):
-    # PEP 562: the evaluator, and numpy with it, is imported on first access
-    if name != "interp" and name not in _EVALUATOR:
+    # PEP 562: called only for names the package does not hold yet
+    module = _LAZY.get(name)
+    if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    interp = importlib.import_module(".interp", __name__)
-    return interp if name == "interp" else getattr(interp, name)
+    loaded = importlib.import_module(f".{module}", __name__)
+    return loaded if name == module else getattr(loaded, name)

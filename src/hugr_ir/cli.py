@@ -3,6 +3,8 @@
 Subcommands: validate, optimize, structure, run, roundtrip. Exit status is 0
 on success, 1 when diagnostics or execution failures were reported, and 2 on
 usage or IO errors. No subcommand writes an output file on nonzero exit.
+Each subcommand imports the rewriting, structuring or evaluation modules it
+runs when it runs, so the others start without them.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import rewrite, serial, structure
+from . import serial
 from .ops import OpError, Registry, register, stdlib
 from .types import EnumType, F64, I64, QUBIT
 from .validate import validate
@@ -30,7 +32,10 @@ def _load_registry(ext_files) -> Registry:
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as f:
-        return f.read()
+        try:
+            return f.read()
+        except UnicodeDecodeError as exc:
+            raise serial.DecodeError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def _load_graph(path: str):
@@ -47,6 +52,11 @@ def cmd_validate(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    from . import rewrite
+
+    if args.budget < 0:
+        print(f"error: --budget takes a count of applications, got {args.budget}", file=sys.stderr)
+        return USAGE
     registry = _load_registry(args.ext)
     h = _load_graph(args.file)
     rules = [serial.decode_rule(_read(path)) for path in args.rules]
@@ -70,6 +80,8 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_structure(args) -> int:
+    from . import structure
+
     registry = _load_registry(args.ext)
     h = _load_graph(args.file)
     try:
@@ -113,6 +125,9 @@ def _render_value(v) -> str:
 def cmd_run(args) -> int:
     from . import interp  # the evaluator alone needs numpy
 
+    if args.seed < 0:
+        print(f"error: --seed must not be negative, got {args.seed}", file=sys.stderr)
+        return USAGE
     registry = _load_registry(args.ext)
     h = _load_graph(args.file)
     diags = validate(h, registry)

@@ -12,12 +12,15 @@ live object per distinct value, compared and hashed by identity. A ``Const``
 of type ``F64`` stores its value as a float, so ``Const(1, F64)`` is
 ``Const(1.0, F64)``; other constants keep the exact value given, so
 ``Const(1, I64)`` and ``Const(1.0, I64)`` stay two ops. Each op computes its
-port rows once, on first use, and every node holding it shares them.
+port rows once, on first use, and every node holding it shares them. An op
+class declares its fields as annotated class attributes, in order, with a
+default as the attribute's value (``type_args: tuple[Type, ...] = ()``);
+:class:`~hugr_ir.types.Interned` explains the rest of the record contract.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .types import (
@@ -41,7 +44,6 @@ class OpError(Exception):
     """Raised for unresolvable or ill-parametrised operations."""
 
 
-@dataclass(frozen=True, eq=False)
 class OpKind(Interned):
     """Base class for node operations."""
 
@@ -51,12 +53,10 @@ class OpKind(Interned):
         return port_rows(self)
 
 
-@dataclass(frozen=True, eq=False)
 class Module(OpKind):
     """Root namespace holding function definitions and declarations."""
 
 
-@dataclass(frozen=True, eq=False)
 class FuncDef(OpKind):
     """Function defined by a child dataflow region."""
 
@@ -64,7 +64,6 @@ class FuncDef(OpKind):
     scheme: PolySignature
 
 
-@dataclass(frozen=True, eq=False)
 class FuncDecl(OpKind):
     """External function reference, linked with a definition later."""
 
@@ -72,21 +71,18 @@ class FuncDecl(OpKind):
     scheme: PolySignature
 
 
-@dataclass(frozen=True, eq=False)
 class Input(OpKind):
     """Source of a dataflow region; one output port per region input."""
 
     types: tuple[Type, ...]
 
 
-@dataclass(frozen=True, eq=False)
 class Output(OpKind):
     """Sink of a dataflow region; one input port per region output."""
 
     types: tuple[Type, ...]
 
 
-@dataclass(frozen=True, eq=False)
 class Call(OpKind):
     """Call a statically known function at a concrete instantiation."""
 
@@ -94,7 +90,6 @@ class Call(OpKind):
     scheme: PolySignature
 
 
-@dataclass(frozen=True, eq=False)
 class LoadFunction(OpKind):
     """Turn a static function into a runtime function value."""
 
@@ -102,7 +97,6 @@ class LoadFunction(OpKind):
     scheme: PolySignature
 
 
-@dataclass(frozen=True, eq=False)
 class Const(OpKind):
     """Compile-time constant emitted on a static edge."""
 
@@ -116,14 +110,12 @@ class Const(OpKind):
         return (float(value), ty) if ty is F64 and type(value) is not float else args
 
 
-@dataclass(frozen=True, eq=False)
 class LoadConst(OpKind):
     """Turn a static constant into a runtime value."""
 
     type: Type
 
 
-@dataclass(frozen=True, eq=False)
 class Conditional(OpKind):
     """Branch between case regions on an enum discriminant (input port 0)."""
 
@@ -132,26 +124,22 @@ class Conditional(OpKind):
     outputs: tuple[Type, ...]
 
 
-@dataclass(frozen=True, eq=False)
 class Case(OpKind):
     """One branch body of a conditional; all data flows via the parent's ports."""
 
 
-@dataclass(frozen=True, eq=False)
 class TailLoop(OpKind):
     """Loop whose body emits a leading bool: true = finished, false = repeat."""
 
     loop_vars: tuple[Type, ...]
 
 
-@dataclass(frozen=True, eq=False)
 class Cfg(OpKind):
     """Unstructured control flow over child basic blocks."""
 
     signature: Signature
 
 
-@dataclass(frozen=True, eq=False)
 class BasicBlock(OpKind):
     """CFG block; its body emits a leading enum picking the successor."""
 
@@ -159,14 +147,12 @@ class BasicBlock(OpKind):
     successor_count: int
 
 
-@dataclass(frozen=True, eq=False)
 class ExitBlock(OpKind):
     """Unique exit of a CFG; carries the CFG's output row."""
 
     outputs: tuple[Type, ...]
 
 
-@dataclass(frozen=True, eq=False)
 class ExtensionOp(OpKind):
     """Registry-defined operation at a concrete instantiation.
 
@@ -178,31 +164,27 @@ class ExtensionOp(OpKind):
     extension: str
     name: str
     type_args: tuple[Type, ...] = ()
-    signature: Signature = field(default_factory=Signature)
+    signature: Signature = Signature()
 
 
 # ── Port rows ──────────────────────────────────────────────────────
 
-@dataclass(frozen=True, eq=False)
 class PortKind(Interned):
     """What an edge or port carries."""
 
 
-@dataclass(frozen=True, eq=False)
 class Value(PortKind):
     """Runtime value of a given type."""
 
     type: Type
 
 
-@dataclass(frozen=True, eq=False)
 class Static(PortKind):
     """Compile-time value: a constant's type or a function scheme."""
 
     payload: Type | PolySignature
 
 
-@dataclass(frozen=True, eq=False)
 class ControlFlow(PortKind):
     """Control-flow successor link between basic blocks."""
 

@@ -13,13 +13,20 @@ therefore identity. "Exactly" tells ``1`` from ``1.0`` from ``True`` and
 ``0.0`` from ``-0.0``, so no two values that print differently are merged.
 Ops share the table (:mod:`hugr_ir.ops`); a class may normalise its fields
 before the lookup, as ``Const`` turns an integral ``F64`` value into a float.
+
+A record class derives from :class:`Interned` and declares its fields as
+class annotations, base class fields first; a class attribute of the same
+name is the field's default, as in ``args: tuple[Type, ...] = ()``. The
+metaclass reads the fields once per class and binds positional, keyword and
+default arguments from them. Records are immutable, print as
+``Name(field=value, ...)`` unless the class defines ``__repr__``, and may
+check their fields in ``__post_init__``.
 """
 
 from __future__ import annotations
 
 import threading
 import weakref
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
@@ -33,17 +40,47 @@ class TypeError_(Exception):
 # every live interned object, by (class, exact field values, field value classes)
 _INSTANCES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 _INSERTING = threading.Lock()  # two threads must not both add one value
+_REQUIRED = object()  # the default of a field that has none
 
 
 class _Interning(type):
-    """Metaclass whose call returns the live instance with equal fields."""
+    """Metaclass whose call returns the live instance with equal fields.
+
+    It reads each class's fields and defaults once, when the class is made.
+    """
+
+    def __init__(cls, name: str, bases: tuple, namespace: dict) -> None:
+        super().__init__(name, bases, namespace)
+        defaults: dict[str, Any] = {}
+        for klass in reversed(cls.__mro__):
+            for field in klass.__dict__.get("__annotations__", ()):
+                defaults[field] = klass.__dict__.get(field, _REQUIRED)
+        cls._fields = tuple(defaults)
+        cls._defaults = {k: v for k, v in defaults.items() if v is not _REQUIRED}
+
+    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+        """The field values of a call, with keywords and defaults filled in."""
+        names = cls._fields
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__name__}() takes {len(names)} arguments but "
+                            f"{len(args)} were given; the extra ones are {args[len(names):]!r}")
+        values = list(args)
+        for name in names[len(args):]:
+            if name in kwargs:
+                values.append(kwargs.pop(name))
+            elif name in cls._defaults:
+                values.append(cls._defaults[name])
+            else:
+                raise TypeError(f"{cls.__name__}() missing argument {name!r}")
+        if kwargs:
+            name = next(iter(kwargs))
+            problem = "multiple values for" if name in names else "an unexpected keyword"
+            raise TypeError(f"{cls.__name__}() got {problem} argument {name!r}")
+        return tuple(values)
 
     def __call__(cls, *args: Any, **kwargs: Any) -> Any:
-        names = cls.__dataclass_fields__
-        if kwargs or len(args) != len(names):
-            # bind keywords and defaults as the dataclass __init__ does
-            proto = super().__call__(*args, **kwargs)
-            args = tuple(getattr(proto, name) for name in names)
+        if kwargs or len(args) != len(cls._fields):
+            args = cls._bind(args, kwargs)
         args = cls._canonical(args)
         kinds = tuple(map(type, args))
         exact = args
@@ -55,29 +92,46 @@ class _Interning(type):
             with _INSERTING:
                 obj = _INSTANCES.get(key)
                 if obj is None:
-                    obj = _INSTANCES[key] = super().__call__(*args)
+                    obj = object.__new__(cls)
+                    obj.__dict__.update(zip(cls._fields, args))
+                    obj.__post_init__()
+                    _INSTANCES[key] = obj
         return obj
 
 
 class Interned(metaclass=_Interning):
-    """Base of hash-consed frozen dataclasses declared with ``eq=False``."""
+    """Base of hash-consed immutable records (see the module docstring).
+
+    The metaclass builds instances, so a subclass defines no ``__init__``.
+    """
 
     @staticmethod
     def _canonical(args: tuple) -> tuple:
         """The field values to store, given the constructor's."""
         return args
 
+    def __post_init__(self) -> None:
+        """Check the field values of a new instance; raise to refuse them."""
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an interned {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an interned {type(self).__name__}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
     def __reduce__(self) -> tuple:
         # copies and unpickled objects go through the table too
-        return type(self), tuple(getattr(self, name) for name in self.__dataclass_fields__)
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
 
-@dataclass(frozen=True, eq=False)
 class Type(Interned):
     """Base class for edge types."""
 
 
-@dataclass(frozen=True, eq=False)
 class ExtType(Type):
     """A type defined by an extension, e.g. ``stdlib.quantum.qubit``."""
 
@@ -90,7 +144,6 @@ class ExtType(Type):
         return f"{self.extension}.{self.name}{args}"
 
 
-@dataclass(frozen=True, eq=False)
 class EnumType(Type):
     """Finite enumeration with tags ``0 .. cardinality-1``. ``EnumType(2)`` is bool."""
 
@@ -104,7 +157,6 @@ class EnumType(Type):
         return "bool" if self.cardinality == 2 else f"enum({self.cardinality})"
 
 
-@dataclass(frozen=True, eq=False)
 class FunctionType(Type):
     """A runtime function value. Always monomorphic."""
 
@@ -114,7 +166,6 @@ class FunctionType(Type):
         return f"fn{self.signature!r}"
 
 
-@dataclass(frozen=True, eq=False)
 class VarType(Type):
     """Type variable, a de Bruijn index into the enclosing polymorphic scheme."""
 
@@ -128,7 +179,6 @@ class VarType(Type):
         return f"var{self.index}"
 
 
-@dataclass(frozen=True, eq=False)
 class Signature(Interned):
     """Ordered input and output rows of an operation or function."""
 
@@ -141,12 +191,11 @@ class Signature(Interned):
         return f"({ins} -> {outs})"
 
 
-@dataclass(frozen=True, eq=False)
 class PolySignature(Interned):
     """A signature scheme abstracted over ``param_count`` type variables."""
 
     param_count: int
-    body: Signature = field(default_factory=Signature)
+    body: Signature = Signature()
 
     def __post_init__(self) -> None:
         for t in self.body.inputs + self.body.outputs:

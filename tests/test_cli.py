@@ -415,6 +415,8 @@ _COLD_START = """
 import sys
 import hugr_ir
 hugr_ir.stdlib()
+loaded = [m for m in ("build", "rewrite", "structure", "interp") if f"hugr_ir.{m}" in sys.modules]
+assert not loaded, f"import hugr_ir loaded {loaded}"
 from hugr_ir.cli import main
 circuit, rule, out = sys.argv[1:]
 for argv in (["validate", circuit], ["optimize", circuit, "--rules", rule, "-o", out],
@@ -429,6 +431,19 @@ except AttributeError:
     pass
 else:
     raise SystemExit("a misspelt name resolved")
+for name in ("rewrites", "Pattrn", "structur"):
+    try:
+        getattr(hugr_ir, name)
+    except AttributeError:
+        pass
+    else:
+        raise SystemExit(f"a misspelt name {name} resolved")
+import importlib
+for name, module in hugr_ir._LAZY.items():
+    mod = importlib.import_module(f"hugr_ir.{module}")
+    assert getattr(hugr_ir, name) is (mod if name == module else getattr(mod, name)), name
+assert hugr_ir.saturate is hugr_ir.rewrite.saturate
+assert hugr_ir.validate is sys.modules["hugr_ir.validate"].validate and callable(hugr_ir.validate)
 """
 
 
@@ -446,3 +461,70 @@ def test_only_the_evaluator_loads_numpy(registry, tmp_path):
         [sys.executable, "-c", _COLD_START, str(circuit), str(rule), str(tmp_path / "out.json")],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
+
+
+def test_validate_loads_neither_rewriting_nor_structuring(registry, tmp_path):
+    import os
+    import re
+
+    import hugr_ir
+
+    circuit = tmp_path / "h.hugr.json"
+    circuit.write_text(encode(chain_circuit(["H"], registry)))
+    src = os.path.dirname(os.path.dirname(hugr_ir.__file__))
+    # -v reports every module loaded, also through importlib.import_module
+    proc = subprocess.run([sys.executable, "-v", "-m", "hugr_ir.cli", "validate", str(circuit)],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(re.findall(r"^import '(hugr_ir[\w.]*)'", proc.stderr, re.MULTILINE))
+    assert {"hugr_ir.serial", "hugr_ir.validate"} <= loaded, loaded
+    assert not loaded & {"hugr_ir.rewrite", "hugr_ir.structure", "hugr_ir.build",
+                         "hugr_ir.interp"}, loaded
+
+
+def test_run_rejects_a_negative_seed(programs, capsys):
+    assert main(["run", programs["rus_loop"], "--entry", "main", "--seed", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _one_error_line(captured.err), captured.err
+    assert main(["run", programs["rus_loop"], "--entry", "main", "--seed", "0"]) == 0
+
+
+@pytest.mark.parametrize("command", ["validate", "optimize --rules", "--ext", "run"])
+def test_non_utf8_files_are_usage_errors(registry, programs, tmp_path, capsys, command):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+    good = programs["rotation_pipeline"]
+    out = tmp_path / "out.hugr.json"
+    argv = {
+        "validate": ["validate", str(bad)],
+        "optimize --rules": ["optimize", good, "--rules", str(bad), "-o", str(out)],
+        "--ext": ["validate", good, "--ext", str(bad)],
+        "run": ["run", str(bad), "--entry", "main", "--outcomes", ""],
+    }[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _one_error_line(captured.err) and str(bad) in captured.err, captured.err
+    assert not out.exists()
+
+
+def test_optimize_rejects_a_negative_budget(registry, tmp_path, capsys):
+    circuit = tmp_path / "hh.hugr.json"
+    circuit.write_text(encode(chain_circuit(["H", "H"], registry)))
+    rule = tmp_path / "hh.hugrrule.json"
+    rule.write_text(encode_rule(hh_cancel(registry)))
+    out = tmp_path / "out.hugr.json"
+    argv = ["optimize", str(circuit), "--rules", str(rule), "-o", str(out)]
+    assert main(argv + ["--budget", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _one_error_line(captured.err), captured.err
+    assert not out.exists()
+
+    # a zero budget applies nothing and writes the input back, as before
+    assert main(argv + ["--budget", "0"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "budget of 0 applications exhausted\n"
+    assert out.read_text() == circuit.read_text() + "\n"

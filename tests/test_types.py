@@ -203,3 +203,117 @@ def test_concurrent_construction_yields_one_object():
     assert not any(t.is_alive() for t in threads) and len(results) == 8
     for objs in zip(*results):
         assert all(o is objs[0] for o in objs)
+
+
+def _interned_classes() -> list[type]:
+    import hugr_ir.ops  # noqa: F401  (the op and port-kind records)
+    from hugr_ir.types import Interned
+
+    found, todo = [], [Interned]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            found.append(sub)
+            todo.append(sub)
+    return sorted(set(found), key=lambda c: c.__qualname__)
+
+
+# a valid value for every field name the records use; none is a default
+_SAMPLES = {
+    "extension": "acme", "name": "thing", "args": (F64,), "cardinality": 3,
+    "signature": Signature((QUBIT,), ()), "index": 1, "inputs": (QUBIT,), "outputs": (BOOL,),
+    "param_count": 2, "body": Signature((VarType(1),), ()), "types": (QUBIT, F64),
+    "type_args": (F64,), "scheme": PolySignature(1, Signature((VarType(0),), ())),
+    "value": 0.5, "type": F64, "other_inputs": (F64,), "successor_count": 2,
+    "loop_vars": (QUBIT,), "payload": F64,
+}
+
+
+@pytest.mark.parametrize("cls", _interned_classes(), ids=lambda c: c.__name__)
+class TestRecordContract:
+    """What every interned record class promises, whatever its fields."""
+
+    def test_fields_are_the_annotations_base_first(self, cls):
+        expected: list[str] = []
+        for klass in reversed(cls.__mro__):
+            expected += [n for n in klass.__dict__.get("__annotations__", {}) if n not in expected]
+        assert list(cls._fields) == expected
+
+    def test_positional_keyword_and_default_construction_agree(self, cls):
+        values = [_SAMPLES[name] for name in cls._fields]
+        obj = cls(*values)
+        assert [getattr(obj, name) for name in cls._fields] == values
+        assert cls(**dict(zip(cls._fields, values))) is obj
+        for k in range(len(values)):
+            assert cls(*values[:k], **dict(zip(cls._fields[k:], values[k:]))) is obj
+        required = [name for name in cls._fields if name not in cls._defaults]
+        assert cls._fields[:len(required)] == tuple(required)  # defaults come last
+        defaulted = cls(*values[:len(required)])
+        assert defaulted is cls(*values[:len(required)], *cls._defaults.values())
+        assert defaulted is cls(**dict(zip(required, values)))
+        assert [getattr(defaulted, name) for name in cls._defaults] == list(cls._defaults.values())
+
+    def test_bad_arguments_are_named(self, cls):
+        kwargs = {name: _SAMPLES[name] for name in cls._fields}
+        for name in cls._fields:
+            if name not in cls._defaults:
+                with pytest.raises(TypeError, match=f"{cls.__name__}.*missing.*'{name}'"):
+                    cls(**{k: v for k, v in kwargs.items() if k != name})
+        with pytest.raises(TypeError, match=f"{cls.__name__}.*'surplus'"):
+            cls(*kwargs.values(), "surplus")
+        with pytest.raises(TypeError, match=f"{cls.__name__}.*unexpected.*'bogus'"):
+            cls(**kwargs, bogus=1)
+        if cls._fields:
+            first = cls._fields[0]
+            with pytest.raises(TypeError, match=f"multiple values.*'{first}'"):
+                cls(kwargs[first], **kwargs)
+
+    def test_fields_cannot_be_assigned_or_deleted(self, cls):
+        obj = cls(*(_SAMPLES[name] for name in cls._fields))
+        for name in cls._fields + ("extra",):
+            with pytest.raises(AttributeError, match=name):
+                setattr(obj, name, None)
+            with pytest.raises(AttributeError, match=name):
+                delattr(obj, name)
+        assert [getattr(obj, name) for name in cls._fields] == [_SAMPLES[n] for n in cls._fields]
+        assert not hasattr(obj, "extra")
+
+    def test_copies_and_pickles_are_the_same_object(self, cls):
+        import copy
+        import pickle
+
+        obj = cls(*(_SAMPLES[name] for name in cls._fields))
+        assert copy.copy(obj) is obj and copy.deepcopy(obj) is obj
+        assert pickle.loads(pickle.dumps(obj)) is obj
+
+
+def _prints_itself(cls: type) -> bool:
+    from hugr_ir.types import Interned
+
+    return any("__repr__" in c.__dict__ for c in cls.__mro__[:cls.__mro__.index(Interned)])
+
+
+@pytest.mark.parametrize("cls", [c for c in _interned_classes() if not _prints_itself(c)],
+                         ids=lambda c: c.__name__)
+def test_repr_names_every_field(cls):
+    obj = cls(*(_SAMPLES[name] for name in cls._fields))
+    fields = ", ".join(f"{name}={getattr(obj, name)!r}" for name in cls._fields)
+    assert repr(obj) == f"{cls.__qualname__}({fields})"
+
+
+def test_record_reprs_keep_the_dataclass_form():
+    from hugr_ir.ops import Const, ExtensionOp, Module
+
+    assert repr(Const(1, F64)) == "Const(value=1.0, type=stdlib.classical.f64)"
+    assert repr(Module()) == "Module()"
+    assert repr(ExtensionOp("acme", "g")) == (
+        "ExtensionOp(extension='acme', name='g', type_args=(), signature=( -> ))")
+    assert repr(PolySignature(0)) == "PolySignature(param_count=0, body=( -> ))"
+
+
+def test_op_rows_are_cached_on_the_record():
+    from hugr_ir.ops import ExtensionOp, Value
+
+    op = ExtensionOp("acme", "g", (), Signature((QUBIT,), (QUBIT, BOOL)))
+    rows = op.rows
+    assert rows == ((Value(QUBIT),), (Value(QUBIT), Value(BOOL))) and op.rows is rows
+    assert op.__dict__["rows"] is rows
