@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Direction, Hugr, Port, in_port, out_port
+from .graph import Edge, Hugr, Port, in_port, out_port
 from .ops import (
     BasicBlock,
     Call,
@@ -95,14 +95,15 @@ class DfBuilder:
         sig = value_signature(self.hugr.op(self.input_node))
         return tuple(out_port(self.input_node, i) for i in range(len(sig.outputs)))
 
-    def wire_type(self, wire: Wire) -> Type:
+    def wire_kind(self, wire: Wire) -> Value:
+        """The interned value kind in ``wire``'s port row."""
         kind = self.hugr.port_kind(wire)
         if not isinstance(kind, Value):
             raise BuildError(f"{wire!r} is not a value port")
-        return kind.type
+        return kind
 
-    def connect(self, src: Wire, dst: Port) -> None:
-        self.hugr.connect(src, dst, Value(self.wire_type(src)))
+    def connect(self, src: Wire, dst: Port) -> Edge:
+        return self.hugr.connect(src, dst, self.wire_kind(src))
 
     def add(self, op: OpKind, *args: Wire) -> tuple[Wire, ...]:
         """Append ``op`` and wire ``args`` to its value inputs, in order."""
@@ -177,11 +178,11 @@ class DfBuilder:
                     cardinality: int | None = None
                     ) -> tuple[tuple[Wire, ...], list["DfBuilder"]]:
         """A conditional plus one body builder per case, in tag order."""
-        disc_ty = self.wire_type(disc)
+        disc_ty = self.wire_kind(disc).type
         if not isinstance(disc_ty, EnumType):
             raise BuildError(f"discriminant must be an enum, got {disc_ty!r}")
         n = cardinality if cardinality is not None else disc_ty.cardinality
-        other_types = tuple(self.wire_type(w) for w in others)
+        other_types = tuple(self.wire_kind(w).type for w in others)
         op = Conditional(n, other_types, tuple(outputs))
         node = self.hugr.add_node(op, self.container)
         self.connect(disc, in_port(node, 0))
@@ -198,7 +199,7 @@ class DfBuilder:
     def tail_loop(self, init: tuple[Wire, ...]
                   ) -> tuple[tuple[Wire, ...], "DfBuilder"]:
         """A tail loop seeded with ``init``; body outputs (flag, loop vars)."""
-        loop_vars = tuple(self.wire_type(w) for w in init)
+        loop_vars = tuple(self.wire_kind(w).type for w in init)
         node = self.hugr.add_node(TailLoop(loop_vars), self.container)
         for i, w in enumerate(init):
             self.connect(w, in_port(node, i))
@@ -209,7 +210,7 @@ class DfBuilder:
 
     def cfg(self, args: tuple[Wire, ...], output_types: tuple[Type, ...]
             ) -> tuple[tuple[Wire, ...], "CfgBuilder"]:
-        in_types = tuple(self.wire_type(w) for w in args)
+        in_types = tuple(self.wire_kind(w).type for w in args)
         sig = Signature(in_types, tuple(output_types))
         node = self.hugr.add_node(Cfg(sig), self.container)
         for i, w in enumerate(args):
@@ -294,7 +295,7 @@ def splice_region(dst: DfBuilder, src: Hugr, src_region: int,
                 if e.dst.node == src_output:
                     out_wires[e.dst.offset] = new_src
                 elif e.dst.node in copied:
-                    kind = e.kind if isinstance(e.kind, Static) else Value(dst.wire_type(new_src))
+                    kind = e.kind if isinstance(e.kind, Static) else dst.wire_kind(new_src)
                     dst.hugr.connect(new_src, in_port(mapping[e.dst.node], e.dst.offset), kind)
 
     n_out = len(value_signature(src.op(src_output)).inputs)

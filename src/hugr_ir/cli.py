@@ -42,13 +42,26 @@ def _load_graph(path: str):
     return serial.decode(_read(path))
 
 
-def cmd_validate(args) -> int:
-    registry = _load_registry(args.ext)
-    h = _load_graph(args.file)
-    diags = validate(h, registry)
+def _report(diags) -> int:
+    """Print the diagnostics, one a line; REPORTED if there are any."""
     for d in diags:
         print(d.render())
     return REPORTED if diags else OK
+
+
+def cmd_validate(args) -> int:
+    registry = _load_registry(args.ext)
+    h = _load_graph(args.file)
+    return _report(validate(h, registry))
+
+
+def _write_if_valid(h, registry, path: str) -> int:
+    """Report ``h``'s diagnostics, or write ``h`` to ``path`` if it has none."""
+    if _report(validate(h, registry)):
+        return REPORTED
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(serial.encode(h) + "\n")
+    return OK
 
 
 def cmd_optimize(args) -> int:
@@ -69,14 +82,7 @@ def cmd_optimize(args) -> int:
         print(f"{name} {anchor}")
     if len(applied) >= args.budget:
         print(f"budget of {args.budget} applications exhausted", file=sys.stderr)
-    diags = validate(h, registry)
-    if diags:
-        for d in diags:
-            print(d.render())
-        return REPORTED
-    with open(args.output, "w", encoding="utf-8") as f:
-        f.write(serial.encode(h) + "\n")
-    return OK
+    return _write_if_valid(h, registry, args.output)
 
 
 def cmd_structure(args) -> int:
@@ -89,14 +95,7 @@ def cmd_structure(args) -> int:
     except structure.StructuringError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return REPORTED
-    diags = validate(h, registry)
-    if diags:
-        for d in diags:
-            print(d.render())
-        return REPORTED
-    with open(args.output, "w", encoding="utf-8") as f:
-        f.write(serial.encode(h) + "\n")
-    return OK
+    return _write_if_valid(h, registry, args.output)
 
 
 def _parse_args(text):
@@ -130,10 +129,7 @@ def cmd_run(args) -> int:
         return USAGE
     registry = _load_registry(args.ext)
     h = _load_graph(args.file)
-    diags = validate(h, registry)
-    if diags:
-        for d in diags:
-            print(d.render())
+    if _report(validate(h, registry)):
         return REPORTED
 
     if args.outcomes is not None:

@@ -17,14 +17,17 @@ and rewrite deltas unambiguous. Mutation requires exclusive access; reads are
 safe to share.
 
 Every mutating method bumps :attr:`Hugr.version`. Values derived from the
-graph by :meth:`Hugr.derived` (the evaluator's region schedules) are kept
-until the version next moves, so any mutation invalidates all of them.
+graph by :meth:`Hugr.derived` are kept until the version next moves, so any
+mutation invalidates all of them. :func:`region_order` is one: the single
+execution order of a region, which ``validate`` reads to find value cycles
+and the evaluator compiles its region schedules from.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Callable, Iterable, NamedTuple, TypeVar
 
 from .ops import ControlFlow, OpKind, PortKind, Static, Value
@@ -371,6 +374,37 @@ class Hugr:
         return h
 
 
+def region_order(h: Hugr, region: int) -> list[int]:
+    """The children of ``region`` in topological order over the value edges
+    between them: the first child (a region's Input) leads, then the
+    smallest ready id goes next. Children on or behind a value cycle are
+    left out. Read it through :meth:`Hugr.derived`.
+    """
+    nodes = h._nodes
+    children = nodes[region].children
+    waiting = dict.fromkeys(children[1:], 0)  # value in-edges from unplaced siblings
+    for c in children:
+        for edges in nodes[c].out_edges:
+            for e in edges:
+                m = e.dst.node
+                if m in waiting and isinstance(e.kind, Value):
+                    waiting[m] += 1
+    ready = [c for c, k in waiting.items() if not k]
+    heapify(ready)
+    order = children[:1]
+    for n in order:  # grows as it goes
+        for edges in nodes[n].out_edges:
+            for e in edges:
+                m = e.dst.node
+                if m in waiting and isinstance(e.kind, Value):
+                    k = waiting[m] = waiting[m] - 1
+                    if not k:
+                        heappush(ready, m)
+        if ready:
+            order.append(heappop(ready))
+    return order
+
+
 __all__ = [
     "Direction",
     "Edge",
@@ -381,6 +415,7 @@ __all__ = [
     "RemovedSubtree",
     "in_port",
     "out_port",
+    "region_order",
     "ControlFlow",
     "Static",
     "Value",

@@ -9,11 +9,12 @@ seeded generator sampling Born-rule probabilities.
 Each region is compiled once into a flat schedule: its nodes in execution
 order, each with the value slots it reads, plus the slots the region
 returns. Running a region is then a loop over that schedule into one list
-of values. The order is the smallest-id-first topological order over value
-edges, which fixes the order of measurements and so the outcome each one
-draws. Schedules are derived from the graph and cached on it
-(:meth:`Hugr.derived`), so every interpreter over one graph shares them,
-and any mutation of the graph invalidates them all.
+of values. The order is the region's :func:`~hugr_ir.graph.region_order`,
+the one ``validate`` checks for cycles: its Input, then the smallest ready
+id first over value edges. It fixes the order of measurements and so the
+outcome each one draws. Orders and schedules are derived from the graph and
+cached on it (:meth:`Hugr.derived`), so every interpreter over one graph
+shares them, and any mutation of the graph invalidates them all.
 
 Qubit kernels act on a ``(left, 2, right)`` reshape of the flat amplitude
 vector around the qubit's axis. Every gate still checks the norm, every
@@ -26,12 +27,11 @@ when false; equivalence checks ignore global phase (fidelity based).
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Direction, Hugr, Port
+from .graph import Direction, Hugr, Port, region_order
 from .ops import (
     Call,
     Cfg,
@@ -46,7 +46,6 @@ from .ops import (
     OpKind,
     Registry,
     TailLoop,
-    Value,
     instantiate,
     value_signature,
 )
@@ -145,7 +144,10 @@ class Seeded(OutcomeSource):
     """Samples outcomes from the Born probabilities with a fixed seed."""
 
     def __init__(self, seed: int):
-        self._rng = np.random.default_rng(seed)
+        try:
+            self._rng = np.random.default_rng(seed)
+        except (TypeError, ValueError) as exc:  # a negative seed, for one
+            raise InterpError(f"bad seed {seed!r}: {exc}") from None
 
     def next_outcome(self, p_true: float) -> bool:
         return bool(self._rng.random() < p_true)
@@ -326,27 +328,9 @@ class _Schedule:
 
 
 def _compile_region(h: Hugr, parent: int) -> _Schedule:
-    """Schedule the region's dataflow children: smallest ready id first."""
-    children = h.children(parent)
-    input_node, output_node = children[0], children[1]
+    """Schedule the region's dataflow children in its :func:`region_order`."""
+    input_node, output_node = h.node(parent).children[:2]
     n_inputs = len(value_signature(h.op(input_node)).outputs)
-    waiting: dict[int, int] = {}  # node -> value inputs not yet computed
-    for c in children[2:]:
-        if not isinstance(h.op(c), (FuncDef, FuncDecl, Const)):
-            waiting[c] = sum(1 for edges in h.node(c).in_edges for e in edges
-                             if isinstance(e.kind, Value))
-    ready = [c for c, k in waiting.items() if k == 0]
-    heapq.heapify(ready)
-
-    def feed(n: int, n_out: int) -> None:
-        for edges in h.node(n).out_edges[:n_out]:
-            for e in edges:
-                m = e.dst.node
-                if m in waiting:
-                    waiting[m] -= 1
-                    if waiting[m] == 0:
-                        heapq.heappush(ready, m)
-
     base = {input_node: 0}  # node -> slot of its first output
 
     def slots_of(n: int, count: int) -> tuple[int, ...]:
@@ -358,19 +342,17 @@ def _compile_region(h: Hugr, parent: int) -> _Schedule:
             out.append(base[src.node] + src.offset)
         return tuple(out)
 
-    feed(input_node, n_inputs)
     steps = []
     n_slots = n_inputs
-    while ready:
-        n = heapq.heappop(ready)
-        del waiting[n]
+    for n in h.derived(region_order, parent)[1:]:
         op = h.op(n)
+        if n == output_node or isinstance(op, (FuncDef, FuncDecl, Const)):
+            continue
         sig = value_signature(op)
         fn, arg = _step_fn(h, n, op, len(sig.inputs))
         steps.append((fn, arg, slots_of(n, len(sig.inputs)), len(sig.outputs), n))
         base[n] = n_slots
         n_slots += len(sig.outputs)
-        feed(n, len(sig.outputs))
     n_out = len(value_signature(h.op(output_node)).inputs)
     return _Schedule(n_inputs, tuple(steps), slots_of(output_node, n_out))
 

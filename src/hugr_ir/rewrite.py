@@ -420,7 +420,7 @@ def apply(rule: RewriteRule, match: Match, h: Hugr, registry: Registry) -> Rewri
                                  match.boundary_sources)
         for j, wire in enumerate(rhs_outs):
             for dst in consumers[j]:
-                edge = h.connect(wire, dst, Value(builder.wire_type(wire)))
+                edge = builder.connect(wire, dst)
                 if wire.node < watermark and dst.node < watermark:
                     added_edges.append(edge)
         added = [n for n in h.children(region) if n >= watermark]

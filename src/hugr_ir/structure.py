@@ -399,15 +399,21 @@ def _sweep_dead_consts(h: Hugr, region: int) -> None:
 
 def structure_cfg(h: Hugr, cfg: int, registry: Registry) -> Hugr:
     """Replace ``cfg`` in place by an equivalent structured subgraph."""
-    from .validate import validate
+    from .validate import validate, validate_region
 
     op = h.op(cfg)
     if not isinstance(op, Cfg):
         raise InvalidInput(f"node {cfg} is not a CFG")
+    diags = validate(h, registry)
     inside = set(h.preorder(cfg))
-    bad = [d for d in validate(h, registry) if d.node in inside]
+    bad = [d for d in diags if d.node in inside]
     if bad:
         raise InvalidInput(f"CFG does not validate: {bad[0].render()}")
+    parent = h.parent(cfg)  # the check after structuring sees all of its region
+    around = {parent, *h.node(parent).children}
+    bad = [d for d in diags if d.node in around]
+    if bad:
+        raise InvalidInput(f"region {parent} around the CFG does not validate: {bad[0].render()}")
 
     view = CfgView.of(h, cfg)
     folded = _reduce(view)
@@ -427,7 +433,6 @@ def structure_cfg(h: Hugr, cfg: int, registry: Registry) -> Hugr:
         raise UnsupportedCfg(
             f"control flow nests {folded.depth} deep, over the limit of {limit}")
 
-    parent = h.parent(cfg)
     builder = DfBuilder.attach(h, parent, registry)
     in_wires = tuple(h.neighbours(in_port(cfg, i))[0]
                      for i in range(len(op.signature.inputs)))
@@ -441,9 +446,6 @@ def structure_cfg(h: Hugr, cfg: int, registry: Registry) -> Hugr:
         for dst in consumers[i]:
             builder.connect(wire, dst)
     _sweep_dead_consts(h, parent)
-
-    from .validate import validate_region
-
     diags = validate_region(h, parent, registry)
     if diags:
         raise StructuringError(f"structuring produced an invalid region: {diags[0].render()}")

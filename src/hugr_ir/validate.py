@@ -11,7 +11,8 @@ Checks, per the container owning each region:
   * every value edge connects equally typed ports within one region, and
     every value input port has exactly one incoming edge;
   * linear outputs have exactly one edge; copyable outputs any number;
-  * value edges within a region form a DAG (control flow edges may cycle);
+  * value edges within a region form a DAG (control flow edges may cycle):
+    the region's :func:`~hugr_ir.graph.region_order` places every child;
   * conditionals have one case per discriminant tag with matching body rows;
   * loop bodies emit the continue flag ahead of the loop variables;
   * CFGs have a unique exit, their entry first, and block bodies emitting a
@@ -34,7 +35,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .graph import Direction, Edge, Hugr, Port
+from .graph import Direction, Edge, Hugr, Port, region_order
 from .ops import (
     BasicBlock,
     Call,
@@ -301,7 +302,10 @@ def _check_dataflow_region(h: Hugr, parent: int, op: OpKind, registry: Registry,
     for c in children:
         diags.extend(_check_node_ports(h, c, member, registry, facts))
 
-    diags.extend(_check_dag(h, children, member))
+    order = h.derived(region_order, parent)
+    if len(order) < len(children):
+        diags.append(Diagnostic(Code.DataflowCycle, min(member.difference(order)), None,
+                                "value edges form a cycle within the region"))
     return diags
 
 
@@ -442,31 +446,6 @@ def _extension_op_problems(op: ExtensionOp, registry: Registry) -> list[str]:
     if expected != op.signature:
         return [f"{op.extension}.{op.name} declares {op.signature!r} "
                 f"but registry says {expected!r}"]
-    return []
-
-
-def _check_dag(h: Hugr, children: list[int], member: set[int]) -> list[Diagnostic]:
-    indeg = {c: 0 for c in children}
-    succs: dict[int, list[int]] = {c: [] for c in children}
-    for c in children:
-        for edges in h.node(c).out_edges:
-            for e in edges:
-                if isinstance(e.kind, Value) and e.dst.node in member:
-                    succs[c].append(e.dst.node)
-                    indeg[e.dst.node] += 1
-    ready = sorted(c for c in children if indeg[c] == 0)
-    done = 0
-    while ready:
-        c = ready.pop()
-        done += 1
-        for s in succs[c]:
-            indeg[s] -= 1
-            if indeg[s] == 0:
-                ready.append(s)
-    if done != len(children):
-        stuck = min(c for c in children if indeg[c] > 0)
-        return [Diagnostic(Code.DataflowCycle, stuck, None,
-                           "value edges form a cycle within the region")]
     return []
 
 

@@ -528,3 +528,24 @@ def test_optimize_rejects_a_negative_budget(registry, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == "budget of 0 applications exhausted\n"
     assert out.read_text() == circuit.read_text() + "\n"
+
+
+@pytest.mark.parametrize("command", ["optimize", "structure"])
+def test_an_invalid_result_prints_what_validate_prints(registry, programs, tmp_path,
+                                                      capsys, monkeypatch, command):
+    import hugr_ir.cli as cli
+
+    rule = tmp_path / "hh.hugrrule.json"
+    rule.write_text(encode_rule(hh_cancel(registry)))
+    out = tmp_path / "out.hugr.json"
+    assert main(["validate", programs["fanout_rejected"]]) == 1
+    expected = capsys.readouterr().out
+    calls = []  # the final check goes through the module's ``validate``
+    check = cli.validate
+    monkeypatch.setattr(cli, "validate", lambda *a: calls.append(a) or check(*a))
+    argv = {"optimize": ["optimize", programs["fanout_rejected"], "--rules", str(rule)],
+            "structure": ["structure", programs["fanout_rejected"]]}[command]
+    assert main(argv + ["-o", str(out)]) == 1
+    assert capsys.readouterr() == (expected, "")
+    assert len(calls) == 1 and not out.exists()
+

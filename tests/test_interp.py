@@ -407,3 +407,10 @@ def test_classical_ops_are_exact(registry):
     it = Interpreter(m.hugr, registry, Scripted([]))
     outs = it.run("main", [F64Value(0.1), F64Value(0.25)])
     assert outs == [F64Value(0.1 - 0.25), bool_value(True), bool_value(False)]
+
+
+@pytest.mark.parametrize("seed", [-5, -1, "seven", 1.5])
+def test_a_bad_seed_is_an_interp_error(seed):
+    with pytest.raises(InterpError, match="bad seed"):
+        Seeded(seed)
+    assert Seeded(0).next_outcome(1.0) is True

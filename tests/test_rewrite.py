@@ -328,3 +328,14 @@ class TestSaturate:
         _, applied = saturate([hh_cancel(registry), xx_cancel(registry)], h, 10, registry)
         assert sorted(name for name, _ in applied) == ["hh_cancel", "xx_cancel"]
         assert validate(h, registry) == []
+
+
+def test_edges_reuse_the_kind_of_their_source_port(registry):
+    # connect, splice and apply take the interned kind from the port row
+    h = random_circuit(np.random.default_rng(41), n_qubits=3, n_gates=40, registry=registry,
+                       p_rz=0.4)
+    h, applied = saturate(standard_rules(registry), h, 100, registry)
+    assert applied
+    for e in h.all_edges():
+        if isinstance(e.kind, Value):
+            assert e.kind is h.port_kind(e.src)

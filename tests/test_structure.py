@@ -401,3 +401,22 @@ class TestScale:
         with pytest.raises(UnsupportedCfg, match="nests"):
             structure_cfg(h, _cfg_node(h), registry)
         assert encode(h) == reference
+
+
+def test_a_fault_beside_the_cfg_is_refused_before_any_change(registry):
+    from hugr_ir import ext_op
+    from hugr_ir.structure import InvalidInput
+
+    h = rus_cfg(registry)
+    cfg = _cfg_node(h)
+    h.add_node(ext_op(registry, "stdlib.quantum", "X"), h.parent(cfg))  # unwired
+    before = encode(h)
+    with pytest.raises(InvalidInput, match="around the CFG does not validate: "
+                                           "InputPortUnwired"):
+        structure_cfg(h, cfg, registry)
+    assert encode(h) == before
+    # a fault inside the CFG is still the one reported, as before
+    block = next(n for n in h.children(cfg) if h.children(n))
+    h.add_node(ext_op(registry, "stdlib.quantum", "X"), block)
+    with pytest.raises(InvalidInput, match="^CFG does not validate: "):
+        structure_cfg(h, cfg, registry)
