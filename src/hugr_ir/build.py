@@ -83,7 +83,7 @@ class DfBuilder:
     @classmethod
     def attach(cls, hugr: Hugr, container: int, registry: Registry) -> "DfBuilder":
         """Wrap an existing region whose Input/Output nodes are already present."""
-        children = hugr.children(container)
+        children = hugr.node(container).children  # read only: no copy
         if len(children) < 2 or not isinstance(hugr.op(children[0]), Input) \
                 or not isinstance(hugr.op(children[1]), Output):
             raise BuildError(f"node {container} has no Input/Output pair to attach to")

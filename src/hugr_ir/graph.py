@@ -19,8 +19,9 @@ safe to share.
 Every mutating method bumps :attr:`Hugr.version`. Values derived from the
 graph by :meth:`Hugr.derived` are kept until the version next moves, so any
 mutation invalidates all of them. :func:`region_order` is one: the single
-execution order of a region, which ``validate`` reads to find value cycles
-and the evaluator compiles its region schedules from.
+execution order of a region, which ``validate`` reads to find value cycles,
+the evaluator compiles its region schedules from, and ``saturate`` numbers
+the topological positions of its convexity checks from.
 """
 
 from __future__ import annotations

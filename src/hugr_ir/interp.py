@@ -41,9 +41,11 @@ from .ops import (
     ExtensionOp,
     FuncDecl,
     FuncDef,
+    Input,
     LoadConst,
     LoadFunction,
     OpKind,
+    Output,
     Registry,
     TailLoop,
     instantiate,
@@ -329,7 +331,11 @@ class _Schedule:
 
 def _compile_region(h: Hugr, parent: int) -> _Schedule:
     """Schedule the region's dataflow children in its :func:`region_order`."""
-    input_node, output_node = h.node(parent).children[:2]
+    children = h.node(parent).children
+    if len(children) < 2 or not isinstance(h.op(children[0]), Input) \
+            or not isinstance(h.op(children[1]), Output):
+        raise InterpError(f"region {parent} does not start with an Input/Output pair")
+    input_node, output_node = children[:2]
     n_inputs = len(value_signature(h.op(input_node)).outputs)
     base = {input_node: 0}  # node -> slot of its first output
 

@@ -5,24 +5,32 @@ correspondence and the embedding grows by following edges port-by-port.
 Linear ports have exactly one connected edge, so most frontier steps extend
 uniquely; copyable fan-out is explored in edge insertion order. Matches must
 be convex (no host path leaves and re-enters the image) so splicing in the
-replacement can never create a dataflow cycle.
+replacement can never create a dataflow cycle. Given a topological position
+for each node of the region, the convexity walk is bounded by the image's
+last node: a path that leaves the image and comes back passes only through
+nodes placed before it.
 
 Applying a rule removes the matched image, splices in the replacement
-fragment with the same boundary signature, re-validates the touched region,
-and returns an invertible delta. On any error the host is left unchanged.
+fragment with the same boundary signature, re-validates the nodes whose
+wiring changed, and returns an invertible delta. On any error the host is
+left unchanged. A match is re-verified before it is applied unless the
+matcher verified it on this very host at its current version.
 
 Saturation keeps a worklist of candidate anchors per rule, so each
 application re-matches only near the rewrite instead of rescanning the host.
+The rules anchored at one op are dispatched on their first matching step:
+an anchor runs only the rules whose first peer (port and op) is present.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from math import inf
 
 from .build import DfBuilder, splice_region
-from .graph import Hugr, Port, RemovedSubtree, in_port, out_port
+from .graph import Hugr, Port, RemovedSubtree, in_port, out_port, region_order
 from .ops import ExtensionOp, FuncDef, OpKind, Registry, Value, value_signature
 from .types import Signature
 from .validate import _DATAFLOW_CONTAINERS, _check_node_ports
@@ -129,6 +137,8 @@ class Match:
     region: int
     mapping: dict[int, int]  # pattern inner node -> host node
     boundary_sources: tuple[Port, ...]  # host source port per pattern input index
+    # (host, host version) at which the matcher verified every check
+    verified: tuple[Hugr, int] | None = field(default=None, repr=False, compare=False)
 
     def key(self) -> tuple:
         return tuple(self.mapping[p] for p in sorted(self.mapping))
@@ -154,6 +164,8 @@ class MatchStats:
     anchors_tried: int = 0
     frontier_steps: int = 0
     candidates_explored: int = 0
+    convexity_checks: int = 0
+    convexity_visits: int = 0  # nodes outside an image a convexity walk reached
 
 
 @dataclass
@@ -261,29 +273,48 @@ def _anchor_candidates(h: Hugr, region: int, ops) -> dict[OpKind, list[int]]:
     return by_op
 
 
+class _FirstSteps:
+    """Rules anchored at one op, grouped by their program's first step: the
+    anchor port it follows, and the peer's port and op."""
+
+    def __init__(self, programs: list[tuple[int, _Program]]):
+        self.always: list[int] = []  # no first step, or a wildcard peer
+        groups: dict[tuple, dict[OpKind, list[int]]] = {}
+        for i, prog in programs:
+            if not prog.steps or _is_wildcard(prog.steps[0][5]):
+                self.always.append(i)
+                continue
+            _, outgoing, off, _, peer_off, peer_op = prog.steps[0]
+            groups.setdefault((outgoing, off, peer_off), {}).setdefault(peer_op, []).append(i)
+        self.groups = [(*port, by_op) for port, by_op in groups.items()]
+
+    def rules_at(self, h: Hugr, anchor: int) -> list[int]:
+        """The rules whose first-step peer is present at ``anchor``, ascending."""
+        nd = h.node(anchor)
+        hits = list(self.always)
+        for outgoing, off, peer_off, by_op in self.groups:
+            for e in (nd.out_edges if outgoing else nd.in_edges)[off]:
+                peer = e.dst if outgoing else e.src
+                if peer.offset == peer_off:
+                    hits += by_op.get(h.op(peer.node), ())
+        return sorted(set(hits)) if len(hits) > 1 else hits
+
+
 def find_matches(pattern: Pattern, h: Hugr, region: int,
                  stats: MatchStats | None = None) -> list[Match]:
     """Every embedding of ``pattern`` in the region, deduplicated and ordered
     by (anchor host id, embedding)."""
     anchor_op = pattern.program.anchor_op
+    first = _FirstSteps([(0, pattern.program)])
     unique: dict[tuple, Match] = {}
     for anchor in _anchor_candidates(h, region, (anchor_op,))[anchor_op]:
+        if not first.rules_at(h, anchor):
+            continue
         for m in _embeddings(pattern, h, region, anchor, stats):
-            if _is_convex(h, region, m.image()):
+            if _is_convex(h, region, m.image(), None, stats):
+                m.verified = (h, h.version)
                 unique.setdefault((anchor, m.key()), m)
     return [unique[k] for k in sorted(unique)]
-
-
-def _first_match(pattern: Pattern, h: Hugr, region: int, anchor: int,
-                 stats: MatchStats | None) -> tuple[Match | None, bool]:
-    """The first convex embedding at ``anchor``; failing that, whether some
-    embedding was rejected by the convexity check alone."""
-    convex_rejected = False
-    for m in _embeddings(pattern, h, region, anchor, stats):
-        if _is_convex(h, region, m.image()):
-            return m, False
-        convex_rejected = True
-    return None, convex_rejected
 
 
 def _embeddings(pattern: Pattern, h: Hugr, region: int, anchor: int,
@@ -360,31 +391,51 @@ def _boundary_sources(prog: _Program, h: Hugr,
     return tuple(sources)
 
 
-def _is_convex(h: Hugr, region: int, image: set[int]) -> bool:
-    """No value path may leave the image and come back into it."""
+def _is_convex(h: Hugr, region: int, image: set[int],
+               pos: dict[int, float] | None = None,
+               stats: MatchStats | None = None) -> bool:
+    """No value path may leave the image and come back into it.
+
+    ``pos``, if given, places every child of ``region`` so that each value
+    edge runs from a lower position to a higher one. A path that leaves the
+    image and comes back passes only through nodes placed before the image's
+    last node, so the walk skips every node placed at or after it. Without
+    ``pos`` it walks everything downstream of the image in the region.
+    """
+    if pos is None:
+        def inside(d: int) -> bool:
+            return h.parent(d) == region
+    else:
+        limit = max(pos[n] for n in image)
+
+        def inside(d: int) -> bool:
+            return pos.get(d, limit) < limit
     outside_reach: set[int] = set()
     frontier: list[int] = []
-    for n in image:
-        for edges in h.node(n).out_edges:
-            for e in edges:
-                if isinstance(e.kind, Value) and e.dst.node not in image:
-                    if h.parent(e.dst.node) == region and e.dst.node not in outside_reach:
-                        outside_reach.add(e.dst.node)
-                        frontier.append(e.dst.node)
-    while frontier:
-        n = frontier.pop()
-        if n in image:
-            return False
-        for edges in h.node(n).out_edges:
-            for e in edges:
-                d = e.dst.node
-                if isinstance(e.kind, Value) and h.parent(d) == region:
-                    if d in image:
-                        return False
-                    if d not in outside_reach:
+    try:
+        for n in image:
+            for edges in h.node(n).out_edges:
+                for e in edges:
+                    d = e.dst.node
+                    if isinstance(e.kind, Value) and d not in image \
+                            and d not in outside_reach and inside(d):
                         outside_reach.add(d)
                         frontier.append(d)
-    return True
+        while frontier:
+            for edges in h.node(frontier.pop()).out_edges:
+                for e in edges:
+                    d = e.dst.node
+                    if isinstance(e.kind, Value):
+                        if d in image:
+                            return False
+                        if d not in outside_reach and inside(d):
+                            outside_reach.add(d)
+                            frontier.append(d)
+        return True
+    finally:
+        if stats is not None:
+            stats.convexity_checks += 1
+            stats.convexity_visits += len(outside_reach)
 
 
 # ── application ────────────────────────────────────────────────────
@@ -395,12 +446,18 @@ def apply(rule: RewriteRule, match: Match, h: Hugr, registry: Registry) -> Rewri
     Raises StaleMatch / WouldCreateCycle / ValidationFailed, in which case
     the host graph is left unchanged.
 
+    The match is re-checked (its nodes, ops, convexity and boundary) unless
+    the matcher verified it on ``h`` itself at ``h``'s current version; a
+    match built by hand, or applied to a copy, is always re-checked.
+
     The post-splice check covers every node whose wiring changed. Replacing a
     convex image by a dataflow fragment attached only at the boundary cannot
-    create cycles (convexity is re-checked here), so on a valid host the
-    region stays valid whenever this check passes.
+    create cycles, so on a valid host the region stays valid whenever this
+    check passes. No step looks at the region's other children.
     """
-    _recheck(rule.lhs, match, h)
+    verified = match.verified
+    if verified is None or verified[0] is not h or verified[1] != h.version:
+        _recheck(rule.lhs, match, h)
 
     region = match.region
     image = match.image()
@@ -423,7 +480,7 @@ def apply(rule: RewriteRule, match: Match, h: Hugr, registry: Registry) -> Rewri
                 edge = builder.connect(wire, dst)
                 if wire.node < watermark and dst.node < watermark:
                     added_edges.append(edge)
-        added = [n for n in h.children(region) if n >= watermark]
+        added = _added_children(h, region, watermark)
         touched = set(added)
         touched.update(s.node for s in match.boundary_sources)
         touched.update(dst.node for ports in consumers for dst in ports)
@@ -432,22 +489,35 @@ def apply(rule: RewriteRule, match: Match, h: Hugr, registry: Registry) -> Rewri
             raise ValidationFailed(
                 f"rule {rule.name!r} left the region invalid: {diags[0].render()}")
     except Exception:
-        added = [n for n in h.children(region) if n >= watermark]
-        _revert(h, added_edges, added, removed)
+        _revert(h, added_edges, _added_children(h, region, watermark), removed)
         raise
 
     return RewriteDelta(rule.name, region, match.anchor_host(), removed, added,
                         added_edges)
 
 
+def _added_children(h: Hugr, region: int, watermark: int) -> list[int]:
+    """The children of ``region`` made since node id ``watermark``, ascending.
+    Ids are never reused, so only the new ids are looked at."""
+    return [n for n in range(watermark, h._next_id) if n in h and h.parent(n) == region]
+
+
 def _check_touched(h: Hugr, region: int, registry: Registry,
                    touched: set[int]) -> list:
-    member = set(h.children(region))
+    """Port checks of the touched nodes still in ``region``. The checks ask
+    region membership only of a node's neighbours, so only those are listed."""
+    checked = [n for n in sorted(touched) if n in h and h.parent(n) == region]
+    member = set(checked)
+    for n in checked:
+        nd = h.node(n)
+        member.update(e.src.node for edges in nd.in_edges for e in edges
+                      if h.parent(e.src.node) == region)
+        member.update(e.dst.node for edges in nd.out_edges for e in edges
+                      if h.parent(e.dst.node) == region)
     diags: list = []
     facts: dict = {}
-    for n in sorted(touched):
-        if n in h and h.parent(n) == region:
-            diags.extend(_check_node_ports(h, n, member, registry, facts))
+    for n in checked:
+        diags.extend(_check_node_ports(h, n, member, registry, facts))
     return diags
 
 
@@ -495,19 +565,32 @@ def saturate(rules: list[RewriteRule], h: Hugr, budget: int, registry: Registry,
     anchor host id, then the first embedding the matcher yields there.
 
     The rescan is replaced by a worklist. One initial pass tries every anchor
-    of every rule and keeps those with an embedding that passes every check
-    but convexity. Selection re-verifies the best kept anchor with the full
-    matcher and drops it if it no longer matches. Apart from convexity, whether
-    an anchor matches depends only on the ops and edges of nodes within the
-    pattern radius of it: the BFS distance from the anchor to the farthest
-    inner node. So after an application only the nodes of the rewritten region
-    within that radius of the rewrite's boundary sources, its consumers and its
-    added nodes are queued again; the first two are the surviving ends of the
-    edges it removed. Convexity is not local: a rewrite can cut a path that
-    leaves an image and re-enters it anywhere in the region. So an anchor whose
+    and keeps, per rule, those with an embedding that passes every check but
+    convexity. An anchor tries only the rules whose first step finds its peer
+    there (see :class:`_FirstSteps`). Selection re-verifies the best kept
+    anchor with the full matcher and drops it if it no longer matches; the
+    match it returns is stamped with the host version, so ``apply`` does not
+    check it again. Apart from convexity, whether an anchor matches depends
+    only on the ops and edges of nodes within the pattern radius of it: the
+    BFS distance from the anchor to the farthest inner node. So after an
+    application only the nodes of the rewritten region within that radius of
+    the rewrite's boundary sources, its consumers and its added nodes are
+    queued again; the first two are the surviving ends of the edges it
+    removed. Convexity is not local: a rewrite can cut a path that leaves an
+    image and re-enters it anywhere in the region. So an anchor whose
     embeddings failed the convexity check alone is rechecked after every
     application. The region list is recomputed only when an application adds
     or removes a node that has children.
+
+    Convexity is checked by topological position. The first check in a region
+    places its children in :func:`~hugr_ir.graph.region_order`; a walk then
+    stops at the image's last node, so it costs what lies between the image's
+    nodes, not what lies downstream of them. An application keeps the
+    positions valid: its added nodes go, in their own topological order,
+    strictly between the highest position that feeds them and the lowest one
+    they feed. When there is no such gap, or an added edge between two old
+    nodes runs backwards, the region's positions are dropped and rebuilt at
+    its next check. A region in which no convexity check runs builds none.
     """
     applied: list[tuple[str, int]] = []
     if budget <= 0:
@@ -529,15 +612,18 @@ class _Worklist:
 
     def __init__(self, rules: list[RewriteRule], h: Hugr, stats: MatchStats | None):
         self.rules, self.h, self.stats = rules, h, stats
-        self.by_op: dict[OpKind, list[int]] = {}  # anchor op -> rule indices
+        programs: dict[OpKind, list[tuple[int, _Program]]] = {}
         for i, rule in enumerate(rules):
-            self.by_op.setdefault(rule.lhs.program.anchor_op, []).append(i)
+            prog = rule.lhs.program
+            programs.setdefault(prog.anchor_op, []).append((i, prog))
+        self.by_op = {op: _FirstSteps(progs) for op, progs in programs.items()}
         self.radius = max((rule.lhs.program.radius for rule in rules), default=0)
         # per rule: heap of (region position, anchor, region), and its anchors
         self.queues: list[list[tuple[int, int, int]]] = [[] for _ in rules]
         self.queued: list[set[int]] = [set() for _ in rules]  # parked ones too
         self.parked: list[tuple[int, tuple[int, int, int]]] = []  # convexity-rejected
         self.positions: dict[int, int] = {}  # region -> preorder position
+        self.orders: dict[int, dict[int, float]] = {}  # region -> child -> topological position
         self._reindex()
 
     def select(self) -> tuple[RewriteRule, Match] | None:
@@ -548,8 +634,7 @@ class _Worklist:
                 _, anchor, region = entry
                 m, convex_rejected = (None, False)
                 if anchor in self.h:
-                    m, convex_rejected = _first_match(rule.lhs, self.h, region, anchor,
-                                                      self.stats)
+                    m, convex_rejected = self._first_match(rule.lhs, region, anchor)
                 if convex_rejected:
                     self.parked.append((i, entry))
                     continue
@@ -557,6 +642,30 @@ class _Worklist:
                 if m is not None:
                     return rule, m
         return None
+
+    def _first_match(self, pattern: Pattern, region: int,
+                     anchor: int) -> tuple[Match | None, bool]:
+        """The first convex embedding at ``anchor``; failing that, whether some
+        embedding was rejected by the convexity check alone."""
+        h = self.h
+        convex_rejected = False
+        for m in _embeddings(pattern, h, region, anchor, self.stats):
+            if _is_convex(h, region, m.image(), self._order(region), self.stats):
+                m.verified = (h, h.version)
+                return m, False
+            convex_rejected = True
+        return None, convex_rejected
+
+    def _order(self, region: int) -> dict[int, float] | None:
+        """Topological positions of the region's children, built on first use;
+        None while a value cycle leaves some child unplaced."""
+        pos = self.orders.get(region)
+        if pos is None:
+            order = self.h.derived(region_order, region)
+            if len(order) < len(self.h.node(region).children):
+                return None
+            pos = self.orders[region] = {n: float(i) for i, n in enumerate(order)}
+        return pos
 
     def update(self, delta: RewriteDelta) -> None:
         """Queue again what the application ``delta`` may have made match."""
@@ -567,6 +676,7 @@ class _Worklist:
         if any(len(sub.nodes) > 1 for sub in delta.removed) or \
                 any(h.children(n) for n in delta.added_nodes):
             self._reindex()
+        self._place(delta)
 
         region = delta.region
         seeds = set(delta.added_nodes)
@@ -587,14 +697,57 @@ class _Worklist:
                         reached.append(p)
             frontier = reached
         for n, d in dist.items():
-            for i in self.by_op.get(h.op(n), ()):
-                if d <= self.rules[i].lhs.program.radius:
-                    self._push(i, region, n)
+            first = self.by_op.get(h.op(n))
+            if first is not None:
+                for i in first.rules_at(h, n):
+                    if d <= self.rules[i].lhs.program.radius:
+                        self._push(i, region, n)
+
+    def _place(self, delta: RewriteDelta) -> None:
+        """Keep the rewritten region's positions topological, or drop them."""
+        pos = self.orders.get(delta.region)
+        if pos is None:
+            return
+        for sub in delta.removed:
+            for n, *_ in sub.nodes:
+                pos.pop(n, None)
+        if any(pos[e.src.node] >= pos[e.dst.node] for e in delta.added_edges):
+            del self.orders[delta.region]
+            return
+        added = delta.added_nodes
+        if not added:
+            return
+        h, new = self.h, set(added)
+        lo, hi = -inf, inf  # highest old node feeding the new ones, lowest fed
+        for n in added:
+            nd = h.node(n)
+            for edges in nd.in_edges:
+                for e in edges:
+                    if isinstance(e.kind, Value) and e.src.node not in new:
+                        lo = max(lo, pos[e.src.node])
+            for edges in nd.out_edges:
+                for e in edges:
+                    if isinstance(e.kind, Value) and e.dst.node not in new:
+                        hi = min(hi, pos[e.dst.node])
+        k = len(added)
+        if lo == -inf:
+            lo = 0.0 if hi == inf else hi - k - 1
+        if hi == inf:
+            hi = lo + k + 1
+        step = (hi - lo) / (k + 1)
+        bounds = [lo, *(lo + step * j for j in range(1, k + 1)), hi]
+        order = _topological(h, added)
+        if len(order) < k or not all(a < b for a, b in zip(bounds, bounds[1:])):
+            del self.orders[delta.region]  # no gap, or no float left in it
+            return
+        for n, p in zip(order, bounds[1:]):
+            pos[n] = p
 
     def _reindex(self) -> None:
         """Recompute the region list; scan the regions that are new."""
         old = self.positions
         self.positions = {r: i for i, r in enumerate(_dataflow_regions(self.h))}
+        self.orders = {r: pos for r, pos in self.orders.items() if r in self.positions}
         for i, queue in enumerate(self.queues):
             kept = [(self.positions[r], a, r) for _, a, r in queue if r in self.positions]
             heapq.heapify(kept)
@@ -607,15 +760,37 @@ class _Worklist:
     def _scan(self, region: int) -> None:
         """Queue every anchor in ``region`` with an embedding that passes the
         local checks; selection checks convexity."""
-        found = _anchor_candidates(self.h, region, self.by_op)
-        for op, anchors in found.items():
-            for i in self.by_op[op]:
-                lhs = self.rules[i].lhs
-                for anchor in anchors:
-                    if next(_embeddings(lhs, self.h, region, anchor, self.stats), None):
+        h = self.h
+        for op, anchors in _anchor_candidates(h, region, self.by_op).items():
+            first = self.by_op[op]
+            for anchor in anchors:
+                for i in first.rules_at(h, anchor):
+                    if next(_embeddings(self.rules[i].lhs, h, region, anchor, self.stats),
+                            None):
                         self._push(i, region, anchor)
 
     def _push(self, i: int, region: int, anchor: int) -> None:
         if anchor not in self.queued[i]:
             self.queued[i].add(anchor)
             heapq.heappush(self.queues[i], (self.positions[region], anchor, region))
+
+
+def _topological(h: Hugr, nodes: list[int]) -> list[int]:
+    """``nodes`` ordered along the value edges among them."""
+    inside = set(nodes)
+    waiting = dict.fromkeys(nodes, 0)
+    for n in nodes:
+        for edges in h.node(n).out_edges:
+            for e in edges:
+                if isinstance(e.kind, Value) and e.dst.node in inside:
+                    waiting[e.dst.node] += 1
+    order = [n for n in nodes if not waiting[n]]
+    for n in order:  # grows as it goes
+        for edges in h.node(n).out_edges:
+            for e in edges:
+                d = e.dst.node
+                if isinstance(e.kind, Value) and d in inside:
+                    waiting[d] -= 1
+                    if not waiting[d]:
+                        order.append(d)
+    return order

@@ -300,6 +300,17 @@ class TestErrors:
         with pytest.raises(InterpError, match="not connected"):
             it.run("main", [it.state.alloc()])
 
+    def test_region_without_an_io_pair(self):
+        from hugr_ir import Hugr
+        from hugr_ir.ops import FuncDef, Input
+        from hugr_ir.types import PolySignature
+
+        h = Hugr()
+        main = h.add_node(FuncDef("main", PolySignature(0, Signature((), ()))), h.root)
+        h.add_node(Input(()), main)  # no Output after it
+        with pytest.raises(InterpError, match=f"region {main} .*Input/Output"):
+            Interpreter(h, stdlib()).run("main", [])
+
     def test_default_iteration_cap(self, registry):
         it = Interpreter(chain_circuit([], registry), stdlib(), Scripted([]))
         assert it.iteration_cap == 100_000
