@@ -138,7 +138,8 @@ class Match:
     mapping: dict[int, int]  # pattern inner node -> host node
     boundary_sources: tuple[Port, ...]  # host source port per pattern input index
     # (host, host version) at which the matcher verified every check
-    verified: tuple[Hugr, int] | None = field(default=None, repr=False, compare=False)
+    verified: tuple[Hugr, int] | None = field(default=None, init=False, repr=False,
+                                              compare=False)
 
     def key(self) -> tuple:
         return tuple(self.mapping[p] for p in sorted(self.mapping))
@@ -586,7 +587,7 @@ def saturate(rules: list[RewriteRule], h: Hugr, budget: int, registry: Registry,
     places its children in :func:`~hugr_ir.graph.region_order`; a walk then
     stops at the image's last node, so it costs what lies between the image's
     nodes, not what lies downstream of them. An application keeps the
-    positions valid: its added nodes go, in their own topological order,
+    positions valid: its added nodes go, in the replacement's region order,
     strictly between the highest position that feeds them and the lowest one
     they feed. When there is no such gap, or an added edge between two old
     nodes runs backwards, the region's positions are dropped and rebuilt at
@@ -603,7 +604,7 @@ def saturate(rules: list[RewriteRule], h: Hugr, budget: int, registry: Registry,
         rule, m = hit
         delta = apply(rule, m, h, registry)
         applied.append((rule.name, m.anchor_host()))
-        work.update(delta)
+        work.update(rule, delta)
     return h, applied
 
 
@@ -667,8 +668,9 @@ class _Worklist:
             pos = self.orders[region] = {n: float(i) for i, n in enumerate(order)}
         return pos
 
-    def update(self, delta: RewriteDelta) -> None:
-        """Queue again what the application ``delta`` may have made match."""
+    def update(self, rule: RewriteRule, delta: RewriteDelta) -> None:
+        """Queue again what applying ``rule`` (recorded in ``delta``) may have
+        made match."""
         h = self.h
         for i, entry in self.parked:
             heapq.heappush(self.queues[i], entry)
@@ -676,7 +678,7 @@ class _Worklist:
         if any(len(sub.nodes) > 1 for sub in delta.removed) or \
                 any(h.children(n) for n in delta.added_nodes):
             self._reindex()
-        self._place(delta)
+        self._place(rule, delta)
 
         region = delta.region
         seeds = set(delta.added_nodes)
@@ -703,7 +705,7 @@ class _Worklist:
                     if d <= self.rules[i].lhs.program.radius:
                         self._push(i, region, n)
 
-    def _place(self, delta: RewriteDelta) -> None:
+    def _place(self, rule: RewriteRule, delta: RewriteDelta) -> None:
         """Keep the rewritten region's positions topological, or drop them."""
         pos = self.orders.get(delta.region)
         if pos is None:
@@ -736,7 +738,10 @@ class _Worklist:
             hi = lo + k + 1
         step = (hi - lo) / (k + 1)
         bounds = [lo, *(lo + step * j for j in range(1, k + 1)), hi]
-        order = _topological(h, added)
+        # the i-th added node copies the i-th rhs child after Input and Output
+        rhs, body = rule.rhs, fragment_region(rule.rhs)
+        rank = {c: i for i, c in enumerate(rhs.node(body).children[2:])}
+        order = [added[rank[c]] for c in rhs.derived(region_order, body) if c in rank]
         if len(order) < k or not all(a < b for a, b in zip(bounds, bounds[1:])):
             del self.orders[delta.region]  # no gap, or no float left in it
             return
@@ -774,23 +779,3 @@ class _Worklist:
             self.queued[i].add(anchor)
             heapq.heappush(self.queues[i], (self.positions[region], anchor, region))
 
-
-def _topological(h: Hugr, nodes: list[int]) -> list[int]:
-    """``nodes`` ordered along the value edges among them."""
-    inside = set(nodes)
-    waiting = dict.fromkeys(nodes, 0)
-    for n in nodes:
-        for edges in h.node(n).out_edges:
-            for e in edges:
-                if isinstance(e.kind, Value) and e.dst.node in inside:
-                    waiting[e.dst.node] += 1
-    order = [n for n in nodes if not waiting[n]]
-    for n in order:  # grows as it goes
-        for edges in h.node(n).out_edges:
-            for e in edges:
-                d = e.dst.node
-                if isinstance(e.kind, Value) and d in inside:
-                    waiting[d] -= 1
-                    if not waiting[d]:
-                        order.append(d)
-    return order

@@ -24,6 +24,7 @@ from hugr_ir.types import QUBIT, PolySignature, Signature
 from generators import chain_circuit, main_region
 from oracles import naive_saturate
 
+Q2 = (QUBIT,) * 2
 Q3 = (QUBIT,) * 3
 
 
@@ -38,11 +39,12 @@ def _assert_same_as_naive(rules, h, registry, budget=10_000):
 
 @pytest.fixture
 def order_builds(monkeypatch):
-    """Counts the region orders saturate builds for its positions."""
+    """Records the graphs whose region orders saturate builds: the host's for
+    its positions, and each applied rule's rhs for the order of added nodes."""
     calls = []
 
     def counted(h, region):
-        calls.append(region)
+        calls.append(h)
         return order(h, region)
 
     order = rewrite.region_order
@@ -168,7 +170,8 @@ class TestPositionRepair:
         h = _detour_host(registry)
         applied = _assert_same_as_naive([rule, _target_feeds_target(registry)], h, registry)
         assert [name for name, _ in applied] == ["cx_reorder"]
-        assert len(order_builds) == 2  # dropped after the rewrite, rebuilt for the next check
+        # dropped after the rewrite, rebuilt for the next check
+        assert order_builds.count(h) == 2
 
     def test_one_gap_used_up(self, registry, order_builds):
         m = new_module(registry)
@@ -186,7 +189,7 @@ class TestPositionRepair:
         # each application puts two nodes into the gap left by the last one
         applied = _assert_same_as_naive([rule], h, registry, budget=150)
         assert len(applied) == 150
-        assert len(order_builds) >= 2
+        assert order_builds.count(h) >= 2
 
     def test_pass_through_rhs(self, registry, order_builds):
         m = new_module(registry)
@@ -197,12 +200,42 @@ class TestPositionRepair:
         h = _detour_host(registry)
         applied = _assert_same_as_naive([rule, _target_feeds_target(registry)], h, registry)
         assert [name for name, _ in applied] == ["cx_rotate"]
-        assert len(order_builds) == 2
+        assert order_builds.count(h) == 2
+
+    def test_added_nodes_follow_the_rhs_order(self, registry, order_builds):
+        """CX(x,y) with a Z on its control becomes H(x);CX(H,y). Afterwards the
+        upstream CX A and the new CX form a tt_drop image that is not convex,
+        A -> H -> CX, which a walk sees only if H is placed before the new CX."""
+        m = new_module(registry)
+        b = m.define_function("fragment", Signature(Q2, Q2))
+        x, y = b.inputs()
+        c, t = b.q("CX", x, y)
+        anchor = c.node
+        (c,) = b.q("Z", c)
+        b.set_outputs(c, t)
+        lhs = Pattern(m.hugr, anchor)
+        m = new_module(registry)
+        b = m.define_function("fragment", Signature(Q2, Q2))
+        x, y = b.inputs()
+        b.set_outputs(*b.q("CX", *b.q("H", x), y))
+        rule = RewriteRule(lhs, m.hugr, "cx_z_to_h_cx")
+
+        m = new_module(registry)
+        b = m.define_function("main", Signature(Q3, Q3))
+        q0, q1, q2 = b.inputs()
+        q0, q1 = b.q("CX", q0, q1)  # A
+        q0, q1 = b.q("CX", q0, q1)
+        (q0,) = b.q("Z", q0)
+        b.set_outputs(q0, q1, q2)
+        h = m.hugr
+        applied = _assert_same_as_naive([rule, _target_feeds_target(registry)], h, registry)
+        assert [name for name, _ in applied] == ["cx_z_to_h_cx"]
+        assert order_builds.count(h) == 1  # placed, not rebuilt
 
     def test_pass_through_along_the_order(self, registry, order_builds):
         h = chain_circuit(["X", "H", "H", "T", "H", "H", "X"], registry)
         _assert_same_as_naive([hh_cancel(registry)], h, registry)
-        assert len(order_builds) == 1
+        assert order_builds.count(h) == 1
 
 
 class TestCounters:
