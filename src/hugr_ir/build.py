@@ -174,22 +174,20 @@ class DfBuilder:
     # ── control flow ───────────────────────────────────────────────
 
     def conditional(self, disc: Wire, others: tuple[Wire, ...],
-                    outputs: tuple[Type, ...],
-                    cardinality: int | None = None
+                    outputs: tuple[Type, ...]
                     ) -> tuple[tuple[Wire, ...], list["DfBuilder"]]:
         """A conditional plus one body builder per case, in tag order."""
         disc_ty = self.wire_kind(disc).type
         if not isinstance(disc_ty, EnumType):
             raise BuildError(f"discriminant must be an enum, got {disc_ty!r}")
-        n = cardinality if cardinality is not None else disc_ty.cardinality
         other_types = tuple(self.wire_kind(w).type for w in others)
-        op = Conditional(n, other_types, tuple(outputs))
+        op = Conditional(disc_ty.cardinality, other_types, tuple(outputs))
         node = self.hugr.add_node(op, self.container)
         self.connect(disc, in_port(node, 0))
         for i, w in enumerate(others):
             self.connect(w, in_port(node, i + 1))
         cases = []
-        for _ in range(n):
+        for _ in range(op.cardinality):
             case = self.hugr.add_node(Case(), node)
             cases.append(DfBuilder.create(self.hugr, case, self.registry,
                                           other_types, tuple(outputs)))

@@ -13,8 +13,10 @@ is a slotted record whose edge lists are sized from its op's port rows.
 decoder does; edges always go through :meth:`Hugr.connect`.
 
 Node ids are never reused within one graph instance, which keeps undo logs
-and rewrite deltas unambiguous. Mutation requires exclusive access; reads are
-safe to share.
+and rewrite deltas unambiguous. :meth:`Hugr.remove_node` unlinks only the
+boundary: an edge leaves the list of its endpoint outside the removed
+subtree, and the subtree's own lists go with its nodes. Mutation requires
+exclusive access; reads are safe to share.
 
 Every mutating method bumps :attr:`Hugr.version`. Values derived from the
 graph by :meth:`Hugr.derived` are kept until the version next moves, so any
@@ -108,8 +110,9 @@ class Node:
 class RemovedSubtree:
     """Material returned by :meth:`Hugr.remove_node`, sufficient for undo."""
 
-    nodes: list[tuple[int, int | None, int, OpKind]]  # (id, parent, child index, op) preorder
+    nodes: list[tuple[int, int, OpKind]]  # (id, parent, op) in preorder
     edges: list[Edge]
+    index: int  # the subtree root's position among its siblings
 
 
 class Hugr:
@@ -289,55 +292,48 @@ class Hugr:
 
         Returns the removed material; :meth:`restore` undoes the removal.
         """
+        target = self.node(node)
         if node == self.root:
             raise GraphError("cannot remove the root node")
-        target = self.node(node)
-        subtree = self.preorder(node)
-        inside = set(subtree)
-
-        removed_edges: list[Edge] = []
-        seen: set[int] = set()  # an edge inside the subtree is listed at both ends
-        for n in subtree:
-            nd = self._nodes[n]
-            for edges in nd.in_edges + nd.out_edges:
-                for e in edges:
-                    if id(e) not in seen:
-                        seen.add(id(e))
-                        removed_edges.append(e)
-        for e in removed_edges:
-            self.disconnect(e)
-
-        nodes: list[tuple[int, int | None, int, OpKind]] = []
-        for n in subtree:
-            nd = self._nodes[n]
-            idx = 0 if nd.parent is None else self._nodes[nd.parent].children.index(n)
-            nodes.append((n, nd.parent, idx, nd.op))
-        parent = target.parent
-        assert parent is not None
-        self._nodes[parent].children.remove(node)
-        for n in subtree:
-            del self._nodes[n]
-        assert node not in self._nodes[parent].children
+        table = self._nodes
+        siblings = table[target.parent].children
+        index = siblings.index(node)
+        del siblings[index]
+        popped, stack = [], [node]
+        while stack:
+            popped.append(table.pop(stack.pop()))
+            stack.extend(reversed(popped[-1].children))
+        edges: list[Edge] = []  # preorder, in-edges then out-edges
+        inner: set[int] = set()  # an edge inside the subtree is listed at both ends
+        for nd in popped:
+            for es in nd.in_edges + nd.out_edges:
+                for e in es:
+                    src, dst = table.get(e.src.node), table.get(e.dst.node)
+                    if src is not None:
+                        src.out_edges[e.src.offset].remove(e)
+                    elif dst is not None:
+                        dst.in_edges[e.dst.offset].remove(e)
+                    elif id(e) in inner:
+                        continue
+                    else:
+                        inner.add(id(e))
+                    edges.append(e)
+        assert node not in siblings
         self.version += 1
-        return RemovedSubtree(nodes, removed_edges)
+        return RemovedSubtree([(nd.id, nd.parent, nd.op) for nd in popped], edges, index)
 
     def restore(self, removed: RemovedSubtree) -> None:
         """Re-insert a removed subtree at its original positions."""
-        restored = {nid for nid, *_ in removed.nodes}
-        for nid, parent, _, op in removed.nodes:
+        for nid, parent, op in removed.nodes:
             if nid in self._nodes:
                 raise GraphError(f"node {nid} already present")
             self._nodes[nid] = Node(nid, parent, op)
-        # the subtree root splices back at its recorded child index; interior
-        # nodes are recorded in preorder, so appending rebuilds children order
-        for nid, parent, idx, _ in removed.nodes:
-            if parent is None:
-                continue
-            siblings = self._nodes[parent].children
-            if parent in restored:
-                siblings.append(nid)
-            else:
-                siblings.insert(idx, nid)
+        # the subtree root goes back at its index; the rest are in preorder,
+        # so appending rebuilds their children order
+        (root, parent, _), *rest = removed.nodes
+        self._nodes[parent].children.insert(removed.index, root)
+        for nid, parent, _ in rest:
+            self._nodes[parent].children.append(nid)
         for e in removed.edges:
             self.connect(e.src, e.dst, e.kind)
         self.version += 1

@@ -671,7 +671,7 @@ def unitary_of(h: Hugr, entry: str, registry: Registry) -> np.ndarray:
     dim = 2 ** k
     u = np.zeros((dim, dim), dtype=complex)
     for j in range(dim):
-        interp = Interpreter(h, registry, Scripted([]), qubit_cap=max(10, k))
+        interp = Interpreter(h, registry, Scripted([]))
         qubits = [interp.state.alloc() for _ in range(k)]
         for i in range(k):
             if (j >> (k - 1 - i)) & 1:

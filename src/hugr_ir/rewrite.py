@@ -33,7 +33,7 @@ from .build import DfBuilder, splice_region
 from .graph import Hugr, Port, RemovedSubtree, in_port, out_port, region_order
 from .ops import ExtensionOp, FuncDef, OpKind, Registry, Value, value_signature
 from .types import Signature
-from .validate import _DATAFLOW_CONTAINERS, _check_node_ports
+from .validate import dataflow_regions, validate_touched
 
 WILDCARD_EXTENSION = "pattern.wild"
 
@@ -485,7 +485,7 @@ def apply(rule: RewriteRule, match: Match, h: Hugr, registry: Registry) -> Rewri
         touched = set(added)
         touched.update(s.node for s in match.boundary_sources)
         touched.update(dst.node for ports in consumers for dst in ports)
-        diags = _check_touched(h, region, registry, touched)
+        diags = validate_touched(h, region, touched, registry)
         if diags:
             raise ValidationFailed(
                 f"rule {rule.name!r} left the region invalid: {diags[0].render()}")
@@ -501,25 +501,6 @@ def _added_children(h: Hugr, region: int, watermark: int) -> list[int]:
     """The children of ``region`` made since node id ``watermark``, ascending.
     Ids are never reused, so only the new ids are looked at."""
     return [n for n in range(watermark, h._next_id) if n in h and h.parent(n) == region]
-
-
-def _check_touched(h: Hugr, region: int, registry: Registry,
-                   touched: set[int]) -> list:
-    """Port checks of the touched nodes still in ``region``. The checks ask
-    region membership only of a node's neighbours, so only those are listed."""
-    checked = [n for n in sorted(touched) if n in h and h.parent(n) == region]
-    member = set(checked)
-    for n in checked:
-        nd = h.node(n)
-        member.update(e.src.node for edges in nd.in_edges for e in edges
-                      if h.parent(e.src.node) == region)
-        member.update(e.dst.node for edges in nd.out_edges for e in edges
-                      if h.parent(e.dst.node) == region)
-    diags: list = []
-    facts: dict = {}
-    for n in checked:
-        diags.extend(_check_node_ports(h, n, member, registry, facts))
-    return diags
 
 
 def _recheck(pattern: Pattern, match: Match, h: Hugr) -> None:
@@ -552,10 +533,6 @@ def _revert(h: Hugr, added_edges: list, added_nodes: list[int],
 
 
 # ── saturation ─────────────────────────────────────────────────────
-
-def _dataflow_regions(h: Hugr) -> list[int]:
-    return [n for n in h.preorder() if isinstance(h.op(n), _DATAFLOW_CONTAINERS)]
-
 
 def saturate(rules: list[RewriteRule], h: Hugr, budget: int, registry: Registry,
              stats: MatchStats | None = None) -> tuple[Hugr, list[tuple[str, int]]]:
@@ -751,7 +728,7 @@ class _Worklist:
     def _reindex(self) -> None:
         """Recompute the region list; scan the regions that are new."""
         old = self.positions
-        self.positions = {r: i for i, r in enumerate(_dataflow_regions(self.h))}
+        self.positions = {r: i for i, r in enumerate(dataflow_regions(self.h))}
         self.orders = {r: pos for r, pos in self.orders.items() if r in self.positions}
         for i, queue in enumerate(self.queues):
             kept = [(self.positions[r], a, r) for _, a, r in queue if r in self.positions]

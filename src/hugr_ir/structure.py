@@ -18,6 +18,10 @@ Blocks must be row-preserving (inputs equal the passed row) whenever any
 dispatch or loop needs to be built, because the payload-free successor tags
 force every merged path to carry one common value row. Straight-line CFGs
 are inlined without that restriction.
+
+:func:`structure_all` validates its input once. Structuring a CFG changes,
+and then checks with ``validate_touched``, only the nodes it added and the
+CFG's neighbours, so every later CFG still sees the input's diagnostics.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .build import DfBuilder, splice_region
 from .graph import Hugr, in_port, out_port
 from .ops import BasicBlock, Cfg, Const, ExitBlock, LoadConst, Registry
 from .types import BOOL, EnumType, Type
+from .validate import validate_touched
 
 
 class StructuringError(Exception):
@@ -385,35 +390,34 @@ def _retag(b: DfBuilder, tag, vals, retag: tuple[int, ...], arity: int,
 
 
 def _sweep_dead_consts(h: Hugr, region: int) -> None:
-    changed = True
-    while changed:
-        changed = False
-        for n in list(h.children(region)):
-            op = h.op(n)
-            if isinstance(op, (LoadConst, Const)):
-                nd = h.node(n)
-                if all(not edges for edges in nd.out_edges):
-                    h.remove_node(n)
-                    changed = True
+    while dead := [n for n in h.node(region).children
+                   if isinstance(h.op(n), (LoadConst, Const)) and not any(h.node(n).out_edges)]:
+        for n in dead:
+            h.remove_node(n)
 
 
 def structure_cfg(h: Hugr, cfg: int, registry: Registry) -> Hugr:
     """Replace ``cfg`` in place by an equivalent structured subgraph."""
-    from .validate import validate, validate_region
+    from .validate import validate
 
+    return _structure(h, cfg, registry, validate(h, registry))
+
+
+def _structure(h: Hugr, cfg: int, registry: Registry, diags: list) -> Hugr:
+    """:func:`structure_cfg` given the diagnostics of the graph as it is."""
     op = h.op(cfg)
     if not isinstance(op, Cfg):
         raise InvalidInput(f"node {cfg} is not a CFG")
-    diags = validate(h, registry)
-    inside = set(h.preorder(cfg))
-    bad = [d for d in diags if d.node in inside]
-    if bad:
-        raise InvalidInput(f"CFG does not validate: {bad[0].render()}")
-    parent = h.parent(cfg)  # the check after structuring sees all of its region
-    around = {parent, *h.node(parent).children}
-    bad = [d for d in diags if d.node in around]
-    if bad:
-        raise InvalidInput(f"region {parent} around the CFG does not validate: {bad[0].render()}")
+    parent = h.parent(cfg)
+    if diags:  # a fault beside the CFG is the input's, not the structuring's
+        inside = set(h.preorder(cfg))
+        bad = [d for d in diags if d.node in inside]
+        if bad:
+            raise InvalidInput(f"CFG does not validate: {bad[0].render()}")
+        around = {parent, *h.node(parent).children}
+        bad = [d for d in diags if d.node in around]
+        if bad:
+            raise InvalidInput(f"region {parent} around the CFG does not validate: {bad[0].render()}")
 
     view = CfgView.of(h, cfg)
     folded = _reduce(view)
@@ -439,6 +443,7 @@ def structure_cfg(h: Hugr, cfg: int, registry: Registry) -> Hugr:
     consumers = [list(h.neighbours(out_port(cfg, i)))
                  for i in range(len(op.signature.outputs))]
 
+    watermark = h._next_id
     _, out_wires = _emit(folded.frag, builder, h, in_wires, row)
 
     h.remove_node(cfg)
@@ -446,7 +451,10 @@ def structure_cfg(h: Hugr, cfg: int, registry: Registry) -> Hugr:
         for dst in consumers[i]:
             builder.connect(wire, dst)
     _sweep_dead_consts(h, parent)
-    diags = validate_region(h, parent, registry)
+    # a DAG wired only at the CFG's boundary: check it as ``rewrite.apply`` does
+    touched = {*range(watermark, h._next_id), *(w.node for w in in_wires),
+               *(dst.node for ports in consumers for dst in ports)}
+    diags = validate_touched(h, parent, touched, registry)
     if diags:
         raise StructuringError(f"structuring produced an invalid region: {diags[0].render()}")
     return h
@@ -460,19 +468,15 @@ def _block_rows(h: Hugr, block: int) -> tuple[tuple[Type, ...], tuple[Type, ...]
 
 def structure_all(h: Hugr, registry: Registry) -> Hugr:
     """Structure every CFG node, innermost first."""
-    while True:
-        cfgs = [n for n in h.preorder() if isinstance(h.op(n), Cfg)]
-        if not cfgs:
-            return h
-        # innermost last in preorder within a branch; process deepest first
-        deepest = max(cfgs, key=lambda n: _depth(h, n))
-        structure_cfg(h, deepest, registry)
+    from .validate import validate
 
-
-def _depth(h: Hugr, n: int) -> int:
-    d = 0
-    p = h.parent(n)
-    while p is not None:
-        d += 1
-        p = h.parent(p)
-    return d
+    walk, stack = [], [h.root]  # reversed, the postorder with siblings left to right
+    while stack:
+        walk.append(stack.pop())
+        stack.extend(h.node(walk[-1]).children)
+    cfgs = [n for n in reversed(walk) if isinstance(h.op(n), Cfg)]
+    if cfgs:
+        diags = validate(h, registry)
+        for cfg in cfgs:
+            _structure(h, cfg, registry, diags)
+    return h

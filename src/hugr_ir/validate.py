@@ -1,8 +1,10 @@
 """Whole-graph validity checks.
 
 Typing and linearity are enforced continuously between transformation steps:
-a rewrite or structuring pass re-validates the regions it touched, so a bad
-transformation surfaces immediately instead of corrupting later passes.
+a rewrite or structuring pass re-checks the nodes whose wiring it changed with
+:func:`validate_touched`, so a bad transformation surfaces immediately. A
+fragment wired in only at its boundary cannot create a cycle, so that check
+costs what was replaced and still keeps a valid region valid.
 
 Checks, per the container owning each region:
   * the hierarchy is a tree rooted at a module;
@@ -132,6 +134,30 @@ def validate_region(h: Hugr, parent: int, registry: Registry) -> list[Diagnostic
     return _finish(_check_parent(h, parent, registry, {}))
 
 
+def validate_touched(h: Hugr, region: int, touched: set[int],
+                     registry: Registry) -> list[Diagnostic]:
+    """Port checks of the touched nodes still in ``region``. The checks ask
+    region membership only of a node's neighbours, so only those are listed."""
+    checked = [n for n in sorted(touched) if n in h and h.parent(n) == region]
+    member = set(checked)
+    for n in checked:
+        nd = h.node(n)
+        member.update(e.src.node for edges in nd.in_edges for e in edges
+                      if h.parent(e.src.node) == region)
+        member.update(e.dst.node for edges in nd.out_edges for e in edges
+                      if h.parent(e.dst.node) == region)
+    diags: list[Diagnostic] = []
+    facts: dict[OpKind, tuple] = {}
+    for n in checked:
+        diags.extend(_check_node_ports(h, n, member, registry, facts))
+    return diags
+
+
+def dataflow_regions(h: Hugr) -> list[int]:
+    """The nodes that own a dataflow region, in hierarchy preorder."""
+    return [n for n in h.preorder() if isinstance(h.op(n), _DATAFLOW_CONTAINERS)]
+
+
 def render(diags: list[Diagnostic]) -> str:
     return "\n".join(d.render() for d in diags)
 
@@ -142,9 +168,7 @@ def discarded_value_lints(h: Hugr, registry: Registry) -> list[str]:
     Not part of :func:`validate`; tooling may surface these as hints.
     """
     lines: list[str] = []
-    for parent in h.preorder():
-        if not isinstance(h.op(parent), _DATAFLOW_CONTAINERS):
-            continue
+    for parent in dataflow_regions(h):
         for n in h.children(parent):
             nd = h.node(n)
             if isinstance(nd.op, Output):

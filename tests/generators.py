@@ -236,6 +236,87 @@ def successor_cfg(succs: list[list[int]], registry: Registry,
     return m.hugr
 
 
+def nested_cfg_module(rng: np.random.Generator, registry: Registry) -> Hugr:
+    """One to three one-qubit functions whose bodies put CFGs in function
+    bodies, basic blocks, ``TailLoop`` bodies and ``Conditional`` cases, two
+    containers deep at most.
+
+    Every block is row-preserving (one qubit in, one qubit passed), so each
+    CFG structures. A two-way block branches on a measured ancilla.
+    """
+    m = new_module(registry)
+
+    def gates(b: DfBuilder, q):
+        for _ in range(int(rng.integers(0, 3))):
+            (q,) = b.q(ONE_QUBIT_GATES[int(rng.integers(len(ONE_QUBIT_GATES)))], q)
+        return q
+
+    def measured_flag(b: DfBuilder):
+        (a,) = b.q("QAlloc")
+        (a,) = b.q("H", a)
+        a, flag = b.q("Measure", a)
+        b.q("QFree", a)
+        return flag
+
+    def fill(b: DfBuilder, q, depth: int):
+        q = gates(b, q)
+        for _ in range(int(rng.integers(not depth, 3)) if depth < 2 else 0):
+            roll = rng.random()
+            if roll < 0.5:
+                (q,), cb = b.cfg((q,), (QUBIT,))
+                # successor lists over block indices; -1 is the exit
+                shape = [[[-1]], [[1], [-1]], [[0, -1]], [[1, 2], [2], [-1]]][
+                    int(rng.integers(4))]
+                nodes = []
+                for succs in shape:
+                    node, body = cb.add_block((QUBIT,), len(succs), (QUBIT,))
+                    (bq,) = body.inputs()
+                    bq = fill(body, bq, depth + 1)
+                    tag = measured_flag(body) if len(succs) == 2 else body.tag_const(0, 1)
+                    body.set_outputs(tag, bq)
+                    nodes.append(node)
+                exit_node = cb.add_exit((QUBIT,))
+                for node, succs in zip(nodes, shape):
+                    for tag, target in enumerate(succs):
+                        cb.link(node, tag, exit_node if target == -1 else nodes[target])
+            elif roll < 0.75:
+                (q,), body = b.tail_loop((q,))
+                (bq,) = body.inputs()
+                bq = fill(body, bq, depth + 1)
+                body.set_outputs(measured_flag(body), bq)
+            else:
+                (q,), cases = b.conditional(measured_flag(b), (q,), (QUBIT,))
+                for cb in cases:
+                    (cq,) = cb.inputs()
+                    cb.set_outputs(fill(cb, cq, depth + 1))
+            q = gates(b, q)
+        return q
+
+    for i in range(int(rng.integers(1, 4))):
+        b = m.define_function(f"f{i}", Signature((QUBIT,), (QUBIT,)))
+        (q,) = b.inputs()
+        b.set_outputs(fill(b, q, 0))
+    return m.hugr
+
+
+def cfg_per_function(k: int, registry: Registry, n_gates: int = 20) -> Hugr:
+    """``k`` one-qubit functions, each ``n_gates`` gates then a one-block CFG."""
+    m = new_module(registry)
+    for i in range(k):
+        b = m.define_function(f"f{i}", Signature((QUBIT,), (QUBIT,)))
+        (q,) = b.inputs()
+        for j in range(n_gates):
+            (q,) = b.q(ONE_QUBIT_GATES[j % len(ONE_QUBIT_GATES)], q)
+        (q,), cb = b.cfg((q,), (QUBIT,))
+        node, body = cb.add_block((QUBIT,), 1, (QUBIT,))
+        (bq,) = body.inputs()
+        (bq,) = body.q("H", bq)
+        body.set_outputs(body.tag_const(0, 1), bq)
+        cb.link(node, 0, cb.add_exit((QUBIT,)))
+        b.set_outputs(q)
+    return m.hugr
+
+
 # ── commutation rules for the performance smoke test ───────────────
 
 def perf_setup(n_ops: int = 15, n_rules: int = 100, n_gates: int = 1000,

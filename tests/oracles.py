@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import sys
 import warnings
 from itertools import permutations
 from typing import Any
@@ -73,10 +74,11 @@ from hugr_ir.structure import (
     UnsupportedCfg,
     _Block,
     _block_rows,
-    _depth,
+    _emit,
     _Exit,
     _Loop,
     _Run,
+    _reduce,
     _Seq,
     _SuperNode,
     _sweep_dead_consts,
@@ -673,6 +675,104 @@ def naive_structure_all(h: Hugr, registry: Registry) -> Hugr:
         # innermost last in preorder within a branch; process deepest first
         deepest = max(cfgs, key=lambda n: _depth(h, n))
         naive_structure_cfg(h, deepest, registry)
+
+
+def _depth(h: Hugr, n: int) -> int:
+    d = 0
+    p = h.parent(n)
+    while p is not None:
+        d += 1
+        p = h.parent(p)
+    return d
+
+
+# ── structuring with one whole-graph validation per CFG ────────────
+#
+# ``revalidating_structure_cfg`` / ``revalidating_structure_all`` are the
+# drivers before ``structure_all`` validated once and each structuring checked
+# only the nodes it touched, kept verbatim apart from their names, with the
+# dead-constant sweep of that time. Every CFG validates the whole graph and its
+# parent region afterwards, and each round re-collects the CFGs with a full
+# preorder.
+
+
+def _revalidating_sweep_dead_consts(h: Hugr, region: int) -> None:
+    changed = True
+    while changed:
+        changed = False
+        for n in list(h.children(region)):
+            op = h.op(n)
+            if isinstance(op, (LoadConst, Const)):
+                nd = h.node(n)
+                if all(not edges for edges in nd.out_edges):
+                    h.remove_node(n)
+                    changed = True
+
+
+def revalidating_structure_cfg(h: Hugr, cfg: int, registry: Registry) -> Hugr:
+    """Replace ``cfg`` in place by an equivalent structured subgraph."""
+    from hugr_ir.validate import validate, validate_region
+
+    op = h.op(cfg)
+    if not isinstance(op, Cfg):
+        raise InvalidInput(f"node {cfg} is not a CFG")
+    diags = validate(h, registry)
+    inside = set(h.preorder(cfg))
+    bad = [d for d in diags if d.node in inside]
+    if bad:
+        raise InvalidInput(f"CFG does not validate: {bad[0].render()}")
+    parent = h.parent(cfg)  # the check after structuring sees all of its region
+    around = {parent, *h.node(parent).children}
+    bad = [d for d in diags if d.node in around]
+    if bad:
+        raise InvalidInput(f"region {parent} around the CFG does not validate: {bad[0].render()}")
+
+    view = CfgView.of(h, cfg)
+    folded = _reduce(view)
+    row = op.signature.inputs
+    if folded.depth:
+        # payload-free successor tags force one common value row at dispatches
+        if op.signature.outputs != row:
+            raise UnsupportedCfg("branching CFGs must preserve their value row")
+        for b in view.succ:
+            rows = _block_rows(h, b)
+            if rows != (row, row):
+                raise UnsupportedCfg(
+                    f"block {b} is not row-preserving: {rows[0]} -> {rows[1]}")
+    # _emit recurses once per nesting level at most; keep clear of the limit
+    limit = sys.getrecursionlimit() // 2
+    if folded.depth > limit:
+        raise UnsupportedCfg(
+            f"control flow nests {folded.depth} deep, over the limit of {limit}")
+
+    builder = DfBuilder.attach(h, parent, registry)
+    in_wires = tuple(h.neighbours(in_port(cfg, i))[0]
+                     for i in range(len(op.signature.inputs)))
+    consumers = [list(h.neighbours(out_port(cfg, i)))
+                 for i in range(len(op.signature.outputs))]
+
+    _, out_wires = _emit(folded.frag, builder, h, in_wires, row)
+
+    h.remove_node(cfg)
+    for i, wire in enumerate(out_wires):
+        for dst in consumers[i]:
+            builder.connect(wire, dst)
+    _revalidating_sweep_dead_consts(h, parent)
+    diags = validate_region(h, parent, registry)
+    if diags:
+        raise StructuringError(f"structuring produced an invalid region: {diags[0].render()}")
+    return h
+
+
+def revalidating_structure_all(h: Hugr, registry: Registry) -> Hugr:
+    """Structure every CFG node, innermost first."""
+    while True:
+        cfgs = [n for n in h.preorder() if isinstance(h.op(n), Cfg)]
+        if not cfgs:
+            return h
+        # innermost last in preorder within a branch; process deepest first
+        deepest = max(cfgs, key=lambda n: _depth(h, n))
+        revalidating_structure_cfg(h, deepest, registry)
 
 
 # ── the evaluator before region schedules and reshape-view kernels ──

@@ -15,7 +15,7 @@ from hugr_ir import (
     stdlib,
 )
 from hugr_ir.build import new_module
-from hugr_ir.ops import Case, Conditional, FuncDef, Module
+from hugr_ir.ops import Case, Conditional, Const, ControlFlow, FuncDef, LoadConst, Module, Static
 from hugr_ir.types import BOOL, F64, QUBIT, PolySignature, Signature
 
 from generators import chain_circuit, main_region
@@ -168,6 +168,75 @@ def test_remove_root_rejected(registry):
     h = chain_circuit(["H"], registry)
     with pytest.raises(GraphError):
         h.remove_node(h.root)
+
+
+def test_remove_unknown_node_raises_graph_error(registry):
+    h = chain_circuit(["H"], registry)
+    with pytest.raises(GraphError, match="unknown node"):
+        h.remove_node(len(h) + 100)
+
+
+def _block_with_every_boundary_kind(registry):
+    """(graph, block): a CFG block with several control-flow predecessors,
+    a call to an outer function, a constant loaded outside it, and value
+    edges to and from the enclosing function body."""
+    m = new_module(registry)
+    g = m.define_function("g", Signature((F64,), (F64,)))
+    g.set_outputs(*g.inputs())
+    b = m.define_function("main", Signature((F64,), (F64,)))
+    (x,) = b.inputs()
+    (out,), cb = b.cfg((x,), (F64,))
+    (entry, eb), (side, sb), (block, bb) = [cb.add_block((F64,), n, (F64,)) for n in (1, 1, 2)]
+    exit_node = cb.add_exit((F64,))
+    for src, tag, dst in ((entry, 0, block), (side, 0, block), (block, 0, block),
+                          (block, 1, exit_node)):
+        cb.link(src, tag, dst)
+    for body in (eb, sb):
+        body.set_outputs(body.tag_const(0, 1), *body.inputs())
+    (v,) = bb.call(g.container, *bb.inputs())
+    bb.set_outputs(bb.bool_const(False), v)
+    b.set_outputs(out)
+    h = m.hugr
+    b_in, b_out = h.children(b.container)[:2]
+    bb_in, bb_out = h.children(block)[:2]
+    h.connect(x, in_port(bb_out, 1), Value(F64))
+    h.connect(out_port(bb_in, 0), in_port(b_out, 0), Value(F64))
+    const = h.add_node(Const(1.0, F64), block)
+    load = h.add_node(LoadConst(F64), b.container)
+    h.connect(out_port(const, 0), in_port(load, 0), Static(F64))
+    return h, block
+
+
+def test_remove_and_restore_unlink_only_the_boundary(registry):
+    h, block = _block_with_every_boundary_kind(registry)
+    subtree = h.preorder(block)
+    outside = [n for n in h.preorder() if n not in subtree]
+
+    def port_lists():
+        return {(n, side, i): list(es) for n in outside
+                for side, rows in (("in", h.node(n).in_edges), ("out", h.node(n).out_edges))
+                for i, es in enumerate(rows)}
+
+    reference, before = encode(h), port_lists()
+    in_order = []  # preorder, in-edges then out-edges, each edge once
+    for n in subtree:
+        for es in h.node(n).in_edges + h.node(n).out_edges:
+            in_order.extend(e for e in es if e not in in_order)
+    crossing = [e for e in in_order if (e.src.node in subtree) != (e.dst.node in subtree)]
+    assert {type(e.kind) for e in crossing} == {Value, Static, ControlFlow}
+    assert {e.dst.node in subtree for e in crossing} == {True, False}
+    assert len(h.edges_at(in_port(block, 0))) == 3
+
+    removed = h.remove_node(block)
+    assert removed.edges == in_order
+    assert [nid for nid, *_ in removed.nodes] == subtree
+    gone = set(in_order)
+    assert port_lists() == {k: [e for e in es if e not in gone] for k, es in before.items()}
+
+    h.restore(removed)
+    assert encode(h) == reference
+    assert port_lists() == {k: [e for e in es if e not in gone] + [e for e in in_order if e in es]
+                            for k, es in before.items()}
 
 
 def test_node_ids_never_reused(registry):

@@ -33,13 +33,20 @@ from hugr_ir.structure import (
 )
 from hugr_ir.types import QUBIT, Signature
 
-from generators import main_region, random_reducible_cfg, successor_cfg
+from generators import (
+    cfg_per_function,
+    main_region,
+    nested_cfg_module,
+    random_reducible_cfg,
+    successor_cfg,
+)
 from oracles import (
     _naive_needs_dispatch,
     naive_is_reducible,
     naive_reduce,
     naive_structure_all,
     removal_idom,
+    revalidating_structure_all,
 )
 
 
@@ -420,3 +427,68 @@ def test_a_fault_beside_the_cfg_is_refused_before_any_change(registry):
     h.add_node(ext_op(registry, "stdlib.quantum", "X"), block)
     with pytest.raises(InvalidInput, match="^CFG does not validate: "):
         structure_cfg(h, cfg, registry)
+
+
+def _structured_or_error(structure, h, registry):
+    try:
+        return "bytes", encode(structure(h, registry))
+    except StructuringError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _fault_place(h, region):
+    """Where a fault in ``region`` sits: inside a CFG, beside one, or elsewhere."""
+    if any(isinstance(h.op(a), Cfg) for a in _ancestors(h, region)):
+        return "inside"
+    if any(isinstance(h.op(c), Cfg) for c in h.children(region)):
+        return "beside"
+    return "elsewhere"
+
+
+def _ancestors(h, n):
+    while (n := h.parent(n)) is not None:
+        yield n
+
+
+class TestOneValidationPerStructureAll:
+    """``structure_all`` against the drivers kept in oracles.py that validate
+    the whole graph for every CFG."""
+
+    def test_agrees_on_nested_cfgs_with_and_without_a_fault(self, registry):
+        from hugr_ir import ext_op
+        from hugr_ir.validate import dataflow_regions
+
+        rng = np.random.default_rng(67)
+        outcomes, places = Counter(), Counter()
+        for _ in range(400):
+            h = nested_cfg_module(rng, registry)
+            if rng.random() < 0.5:  # one unwired gate in a random dataflow region
+                regions = dataflow_regions(h)
+                region = regions[int(rng.integers(len(regions)))]
+                h.add_node(ext_op(registry, "stdlib.quantum", "H"), region)
+                places[_fault_place(h, region)] += 1
+            want = _structured_or_error(revalidating_structure_all, h.copy(), registry)
+            got = _structured_or_error(structure_all, h, registry)
+            assert got == want
+            outcomes[got[0]] += 1
+        assert set(outcomes) == {"bytes", "InvalidInput"}
+        assert min(outcomes.values()) >= 100, outcomes
+        assert min(places[p] for p in ("inside", "beside", "elsewhere")) >= 20, places
+
+    @pytest.mark.parametrize("k", [0, 10, 80])
+    def test_validates_once_if_there_is_a_cfg(self, registry, monkeypatch, k):
+        import importlib
+
+        validate_mod = importlib.import_module("hugr_ir.validate")
+        calls = []
+
+        def counted(h, reg):
+            calls.append(h)
+            return validate(h, reg)
+
+        monkeypatch.setattr(validate_mod, "validate", counted)
+        h = cfg_per_function(k, registry) if k else rotation_pipeline(registry)
+        structure_all(h, registry)
+        assert len(calls) == (1 if k else 0)
+        assert not [n for n in h.preorder() if isinstance(h.op(n), Cfg)]
+        assert validate(h, registry) == []

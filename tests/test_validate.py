@@ -53,7 +53,7 @@ def test_conditional_case_arity(registry):
     m = new_module(registry)
     b = m.define_function("main", Signature((BOOL, F64), (F64,)))
     flag, x = b.inputs()
-    outs, cases = b.conditional(flag, (x,), (F64,), cardinality=2)
+    outs, cases = b.conditional(flag, (x,), (F64,))
     for c in cases:
         c.set_outputs(*c.inputs())
     b.set_outputs(outs[0])
