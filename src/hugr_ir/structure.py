@@ -14,6 +14,14 @@ supernode has a self-loop, T1 folds the lowest such id; otherwise T2 merges
 the lowest non-entry id with exactly one predecessor. The entry is never
 merged away.
 
+Materialising pushes each successor-tag map down to where the tag is made.
+A tag of arity 1 is a constant, never a wire; a dispatch composes the map
+into its cases, whose exits become the mapped constants; only a measured
+block's tag can need a conditional of its own to map it; and a loop with one
+exit uses its body's tag, with 1 for leaving, as the ``TailLoop`` flag. The
+sweep afterwards removes only unused constants the structuring made (block
+tags it no longer needs).
+
 Blocks must be row-preserving (inputs equal the passed row) whenever any
 dispatch or loop needs to be built, because the payload-free successor tags
 force every merged path to carry one common value row. Straight-line CFGs
@@ -33,7 +41,7 @@ from dataclasses import dataclass
 
 from .build import DfBuilder, splice_region
 from .graph import Hugr, in_port, out_port
-from .ops import BasicBlock, Cfg, Const, ExitBlock, LoadConst, Registry
+from .ops import BasicBlock, Cfg, ExitBlock, LoadConst, Registry
 from .types import BOOL, EnumType, Type
 from .validate import validate_touched
 
@@ -238,8 +246,10 @@ Frag = _Block | _Seq | _Loop
 class _SuperNode:
     frag: Frag
     succs: list[int]  # block ids; the exit block id marks leaving the CFG
-    # nesting depth of the conditionals and loops ``_emit`` builds for ``frag``;
-    # nonzero iff materialising dispatches on a tag
+    # an upper bound on the nesting depth of the conditionals and loops
+    # ``_emit`` builds for ``frag``: it still counts every tag map as a
+    # conditional, so the recursion guard and the row-preserving rule (for a
+    # nonzero depth) accept and refuse the same CFGs as when each map was one
     depth: int = 0
 
 
@@ -324,60 +334,84 @@ def _reduce(view: CfgView) -> _SuperNode:
 
 # ── materialisation ────────────────────────────────────────────────
 
-def _emit(frag: Frag, b: DfBuilder, src: Hugr, wires, row: tuple[Type, ...]):
-    """Build ``frag`` into builder ``b``; returns (tag wire, value wires).
+def _emit(frag: Frag, b: DfBuilder, src: Hugr, wires, row: tuple[Type, ...],
+          retag: tuple[int, ...], n: int):
+    """Build ``frag`` into builder ``b`` with its tag ``j`` mapped to ``retag[j]``
+    of arity ``n``; returns (tag wire, value wires).
+
+    Maps are pushed down to where tags are made:
+
+    - an arity-1 tag is a constant, never a wire: for ``n == 1`` the tag is
+      ``None`` and conditionals leave it out of their rows, and a fragment
+      with one successor asked for ``n > 1`` is followed by ``tag_const``;
+    - a dispatch composes the map into its cases, so an ``_Exit`` case makes
+      the mapped constant and a ``_Run`` case is built with the composed map;
+    - only a measured block's tag can need a ``_retag`` conditional, and only
+      when the map is neither constant nor the identity;
+    - a loop with one exit builds its body with "repeat -> 0, exit -> 1", and
+      that tag is the ``TailLoop`` flag; loops with several exits carry a
+      seed tag and map the body's tag in an exit conditional.
 
     Fragments that run one after another in ``b`` are taken from a stack;
     only conditional cases and loop bodies recurse, so the recursion is as
     deep as the fold-time ``depth`` at most.
     """
     tag, vals = None, tuple(wires)
-    todo: list = [frag]
+    todo: list = [(frag, retag, n)]
     while todo:
-        f = todo.pop()
+        f, rt, k = todo.pop()
+        if k > 1 and isinstance(f, (_Seq, _Loop)) and f.arity == 1:
+            todo.append((_Exit(0), rt, k))  # build it untagged, then the constant
+            rt, k = (0,), 1
         if isinstance(f, _Block):
             outs = splice_region(b, src, f.block, vals)
             tag, vals = outs[0], tuple(outs[1:])
+            if k == 1:
+                tag = None
+            elif len(set(rt)) == 1:
+                tag = b.tag_const(rt[0], k)
+            elif rt != tuple(range(k)):
+                tag, vals = _retag(b, tag, vals, rt, k, row)
+        elif isinstance(f, _Exit):
+            tag = b.tag_const(rt[f.tag], k) if k > 1 else None
+        elif isinstance(f, _Run):
+            todo.append((f.frag, tuple(rt[j] for j in f.retag), k))
         elif isinstance(f, _Seq):
             if f.first.arity > 1:
-                todo.append(("dispatch", f))
+                todo.append((f.cases, rt, k))
+                todo.append((f.first, tuple(range(f.first.arity)), f.first.arity))
             else:  # first's one successor was the merged block: run it next
-                (case,) = f.cases
-                if case.retag != tuple(range(f.arity)):
-                    todo.append(("retag", case.retag, f.arity))
-                todo.append(case.frag)
-            todo.append(f.first)
+                todo.append((f.cases[0], rt, k))
+                todo.append((f.first, (0,), 1))
+        elif isinstance(f, _Loop) and f.arity == 1:  # the body's tag is the flag
+            outs, body = b.tail_loop(vals)
+            flag = tuple(int(t is not None) for t in f.retag)  # 1 (BOOL true) leaves
+            t2, vals2 = _emit(f.body, body, src, body.inputs(), row, flag, 2)
+            body.set_outputs(t2, *vals2)
+            tag, vals = None, outs
         elif isinstance(f, _Loop):
-            seed = b.tag_const(0, f.arity)
-            loop_outs, body = b.tail_loop((seed,) + vals)
+            outs, body = b.tail_loop((b.tag_const(0, k),) + vals)
             ins = body.inputs()  # (previous tag, row...); the tag is discarded
-            t2, vals2 = _emit(f.body, body, src, ins[1:], row)
-            out_row = (BOOL, EnumType(f.arity)) + row
-            cond_outs, cases = body.conditional(t2, vals2, out_row)
-            for j, cb in enumerate(cases):
-                cins = cb.inputs()
-                if j in f.repeat:
-                    cb.set_outputs(cb.bool_const(False), cb.tag_const(0, f.arity), *cins)
-                else:
-                    cb.set_outputs(cb.bool_const(True),
-                                   cb.tag_const(f.retag[j], f.arity), *cins)
+            arity = f.body.arity
+            t2, vals2 = _emit(f.body, body, src, ins[1:], row, tuple(range(arity)), arity)
+            cond_outs, cases = body.conditional(t2, vals2, (BOOL, EnumType(k)) + row)
+            for j, cb in zip(f.retag, cases):
+                leave = j is not None
+                cb.set_outputs(cb.bool_const(leave), cb.tag_const(rt[j] if leave else 0, k),
+                               *cb.inputs())
             body.set_outputs(*cond_outs)
-            tag, vals = loop_outs[0], tuple(loop_outs[1:])
-        elif f[0] == "retag":
-            tag, vals = _retag(b, tag, vals, f[1], f[2], row)
-        else:  # dispatch on the tag of the _Seq's first fragment
-            seq = f[1]
-            cond_outs, cases = b.conditional(tag, vals, (EnumType(seq.arity),) + row)
-            for case, cb in zip(seq.cases, cases):
-                ins = cb.inputs()
-                if isinstance(case, _Exit):
-                    cb.set_outputs(cb.tag_const(case.tag, seq.arity), *ins)
-                else:
-                    t2, vals2 = _emit(case.frag, cb, src, ins, row)
-                    t2, vals2 = _retag(cb, t2, vals2, case.retag, seq.arity, row)
-                    cb.set_outputs(t2, *vals2)
-            tag, vals = cond_outs[0], tuple(cond_outs[1:])
+            tag, vals = outs[0], outs[1:]
+        else:  # dispatch on the tag of a _Seq's first fragment to its cases
+            outs, cases = b.conditional(tag, vals, _tagged(EnumType(k), row, k))
+            for case, cb in zip(f, cases):
+                cb.set_outputs(*_tagged(*_emit(case, cb, src, cb.inputs(), row, rt, k), k))
+            tag, vals = (None, outs) if k == 1 else (outs[0], outs[1:])
     return tag, vals
+
+
+def _tagged(tag, vals, n: int) -> tuple:
+    """``vals`` behind ``tag``, or ``vals`` alone for an arity-1 tag."""
+    return tuple(vals) if n == 1 else (tag, *vals)
 
 
 def _retag(b: DfBuilder, tag, vals, retag: tuple[int, ...], arity: int,
@@ -389,11 +423,17 @@ def _retag(b: DfBuilder, tag, vals, retag: tuple[int, ...], arity: int,
     return outs[0], tuple(outs[1:])
 
 
-def _sweep_dead_consts(h: Hugr, region: int) -> None:
-    while dead := [n for n in h.node(region).children
-                   if isinstance(h.op(n), (LoadConst, Const)) and not any(h.node(n).out_edges)]:
-        for n in dead:
+def _sweep_dead_consts(h: Hugr, watermark: int) -> None:
+    """Remove the unused ``LoadConst`` nodes made since ``watermark``, in any
+    region, then the ``Const`` nodes made since then that are left unused."""
+    fed = []
+    for n in range(watermark, h._next_id):
+        if n in h and isinstance(h.op(n), LoadConst) and not any(h.node(n).out_edges):
+            fed.extend(p.node for p in h.neighbours(in_port(n, 0)))
             h.remove_node(n)
+    for c in fed:
+        if c >= watermark and c in h and not any(h.node(c).out_edges):
+            h.remove_node(c)
 
 
 def structure_cfg(h: Hugr, cfg: int, registry: Registry) -> Hugr:
@@ -444,13 +484,13 @@ def _structure(h: Hugr, cfg: int, registry: Registry, diags: list) -> Hugr:
                  for i in range(len(op.signature.outputs))]
 
     watermark = h._next_id
-    _, out_wires = _emit(folded.frag, builder, h, in_wires, row)
+    _, out_wires = _emit(folded.frag, builder, h, in_wires, row, (0,) * folded.frag.arity, 1)
 
     h.remove_node(cfg)
     for i, wire in enumerate(out_wires):
         for dst in consumers[i]:
             builder.connect(wire, dst)
-    _sweep_dead_consts(h, parent)
+    _sweep_dead_consts(h, watermark)
     # a DAG wired only at the CFG's boundary: check it as ``rewrite.apply`` does
     touched = {*range(watermark, h._next_id), *(w.node for w in in_wires),
                *(dst.node for ports in consumers for dst in ports)}

@@ -18,7 +18,7 @@ from hugr_ir import (
     stdlib,
 )
 from hugr_ir.build import DfBuilder, new_module
-from hugr_ir.types import BOOL, F64, QUBIT, Signature
+from hugr_ir.types import BOOL, F64, QUBIT, EnumType, Signature
 
 ONE_QUBIT_GATES = ["H", "X", "Z", "T", "Tdg", "TxDg"]
 
@@ -232,6 +232,44 @@ def successor_cfg(succs: list[list[int]], registry: Registry,
     for i, targets in enumerate(succs):
         for tag, target in enumerate(targets):
             cb.link(node_of[i], tag, exit_node if target == -1 else node_of[target])
+    b.set_outputs(out)
+    return m.hugr
+
+
+def measured_successor_cfg(succs: list[list[int]], registry: Registry) -> Hugr:
+    """Like :func:`successor_cfg`, but a block with ``k > 1`` successors picks
+    its tag by measuring fresh ancillas in |+>: tag ``j`` after ``j`` zeros
+    then a one (or ``k - 1`` zeros), so scripted outcomes drive every branch.
+    Block ``i`` applies H and then a gate picked by ``i``."""
+    m = new_module(registry)
+    b = m.define_function("main", Signature((QUBIT,), (QUBIT,)))
+    (q,) = b.inputs()
+    (out,), cb = b.cfg((q,), (QUBIT,))
+
+    def tag(body: DfBuilder, k: int, lo: int):
+        if lo == k - 1:
+            return body.tag_const(lo, k)
+        (a,) = body.q("QAlloc")
+        (a,) = body.q("H", a)
+        a, flag = body.q("Measure", a)
+        body.q("QFree", a)
+        (t,), (zero, one) = body.conditional(flag, (), (EnumType(k),))
+        zero.set_outputs(tag(zero, k, lo + 1))
+        one.set_outputs(one.tag_const(lo, k))
+        return t
+
+    nodes = []
+    for i, targets in enumerate(succs):
+        node, body = cb.add_block((QUBIT,), len(targets), (QUBIT,))
+        (bq,) = body.inputs()
+        (bq,) = body.q("H", bq)
+        (bq,) = body.q(ONE_QUBIT_GATES[1 + i % (len(ONE_QUBIT_GATES) - 1)], bq)
+        body.set_outputs(tag(body, len(targets), 0), bq)
+        nodes.append(node)
+    exit_node = cb.add_exit((QUBIT,))
+    for node, targets in zip(nodes, succs):
+        for t, target in enumerate(targets):
+            cb.link(node, t, exit_node if target == -1 else nodes[target])
     b.set_outputs(out)
     return m.hugr
 

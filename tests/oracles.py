@@ -74,14 +74,12 @@ from hugr_ir.structure import (
     UnsupportedCfg,
     _Block,
     _block_rows,
-    _emit,
     _Exit,
     _Loop,
     _Run,
     _reduce,
     _Seq,
     _SuperNode,
-    _sweep_dead_consts,
 )
 from hugr_ir.serial import (
     _KINDS,
@@ -446,7 +444,10 @@ def removal_idom(view: CfgView) -> dict[int, int]:
 # ``naive_is_reducible``, ``naive_reduce``, ``_naive_needs_dispatch``,
 # ``_naive_emit`` and ``naive_structure_cfg`` / ``naive_structure_all`` are the
 # two full-rescan T1/T2 loops and the recursive emission, kept verbatim apart
-# from their names. Each fold rescans every supernode's predecessors.
+# from their names. Each fold rescans every supernode's predecessors. The
+# emission builds every successor-tag map as a conditional of its own, and
+# ``_naive_sweep_dead_consts`` is the sweep of that time: every unused
+# constant in the CFG's parent region goes, the input's own included.
 
 
 def naive_is_reducible(view: CfgView) -> bool:
@@ -602,6 +603,13 @@ def _naive_emit(frag: Frag, b: DfBuilder, src: Hugr, wires, row: tuple[Type, ...
     raise AssertionError(frag)
 
 
+def _naive_sweep_dead_consts(h: Hugr, region: int) -> None:
+    while dead := [n for n in h.node(region).children
+                   if isinstance(h.op(n), (LoadConst, Const)) and not any(h.node(n).out_edges)]:
+        for n in dead:
+            h.remove_node(n)
+
+
 def _naive_needs_dispatch(frag: Frag) -> bool:
     """True when materialising builds a conditional or a loop."""
     if isinstance(frag, _Block):
@@ -656,7 +664,7 @@ def naive_structure_cfg(h: Hugr, cfg: int, registry: Registry) -> Hugr:
     for i, wire in enumerate(out_wires):
         for dst in consumers[i]:
             builder.connect(wire, dst)
-    _sweep_dead_consts(h, parent)
+    _naive_sweep_dead_consts(h, parent)
 
     from hugr_ir.validate import validate_region
 
@@ -691,9 +699,9 @@ def _depth(h: Hugr, n: int) -> int:
 # ``revalidating_structure_cfg`` / ``revalidating_structure_all`` are the
 # drivers before ``structure_all`` validated once and each structuring checked
 # only the nodes it touched, kept verbatim apart from their names, with the
-# dead-constant sweep of that time. Every CFG validates the whole graph and its
-# parent region afterwards, and each round re-collects the CFGs with a full
-# preorder.
+# emission (``_naive_emit`` builds the same bytes) and the dead-constant sweep
+# of that time. Every CFG validates the whole graph and its parent region
+# afterwards, and each round re-collects the CFGs with a full preorder.
 
 
 def _revalidating_sweep_dead_consts(h: Hugr, region: int) -> None:
@@ -751,7 +759,7 @@ def revalidating_structure_cfg(h: Hugr, cfg: int, registry: Registry) -> Hugr:
     consumers = [list(h.neighbours(out_port(cfg, i)))
                  for i in range(len(op.signature.outputs))]
 
-    _, out_wires = _emit(folded.frag, builder, h, in_wires, row)
+    _, out_wires = _naive_emit(folded.frag, builder, h, in_wires, row)
 
     h.remove_node(cfg)
     for i, wire in enumerate(out_wires):

@@ -12,7 +12,7 @@ from hugr_ir.programs import all_programs, rus_cfg, rus_loop
 from hugr_ir.rules import hh_cancel, rz_merge
 from hugr_ir.serial import encode_rule
 
-from generators import chain_circuit, self_recursive, successor_cfg
+from generators import chain_circuit, main_region, self_recursive, successor_cfg
 
 
 @pytest.fixture()
@@ -134,7 +134,8 @@ def test_structure_without_cfg_is_byte_identical(programs, tmp_path):
     assert out.read_text() == open(programs["rotation_pipeline"]).read()
 
 
-def test_structure_irreducible_reports_and_writes_nothing(registry, tmp_path, capsys):
+def _irreducible_module(registry):
+    """entry -> {B, C}, B -> C, C -> {B, exit}: a cycle with two entries."""
     from hugr_ir.build import new_module
     from hugr_ir.types import QUBIT, Signature
 
@@ -164,12 +165,43 @@ def test_structure_irreducible_reports_and_writes_nothing(registry, tmp_path, ca
     cb.link(cc, 0, bb)
     cb.link(cc, 1, exit_)
     b.set_outputs(out)
+    return m.hugr
 
+
+def test_structure_irreducible_reports_and_writes_nothing(registry, tmp_path, capsys):
     src = tmp_path / "irreducible.hugr.json"
-    src.write_text(encode(m.hugr))
+    src.write_text(encode(_irreducible_module(registry)))
     out_path = tmp_path / "out.hugr.json"
     assert main(["structure", str(src), "-o", str(out_path)]) == 1
     assert "IrreducibleCfg" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+def test_structure_keeps_an_unused_constant_beside_the_cfg(registry, tmp_path, capsys):
+    from hugr_ir.build import DfBuilder
+    from hugr_ir.types import F64
+
+    def with_unused_angle(h):
+        DfBuilder.attach(h, main_region(h), registry).const(0.5, F64)
+        return encode(h)
+
+    def angles(text):
+        return [n["op"]["kind"] for n in json.loads(text)["nodes"]
+                if n["op"].get("type") == {"ext": "stdlib.classical", "name": "f64"}]
+
+    src = tmp_path / "one-block.hugr.json"
+    src.write_text(with_unused_angle(successor_cfg([[-1]], registry)))
+    out_path = tmp_path / "out.hugr.json"
+    assert main(["structure", str(src), "-o", str(out_path)]) == 0
+    assert angles(out_path.read_text()) == angles(src.read_text()) == ["Const", "LoadConst"]
+    assert main(["validate", str(out_path)]) == 0
+    # a refusal is still the same one line, and writes nothing
+    src.write_text(with_unused_angle(_irreducible_module(registry)))
+    out_path.unlink()
+    capsys.readouterr()
+    assert main(["structure", str(src), "-o", str(out_path)]) == 1
+    assert capsys.readouterr().err == (
+        "IrreducibleCfg: control flow is irreducible (a cycle with multiple entries)\n")
     assert not out_path.exists()
 
 

@@ -16,8 +16,10 @@ from hugr_ir import (
     stdlib,
     validate,
 )
-from hugr_ir.build import new_module
+from hugr_ir.build import DfBuilder, new_module
+from hugr_ir.graph import in_port, out_port
 from hugr_ir.interp import ScriptExhausted
+from hugr_ir.ops import Const, LoadConst, Static
 from hugr_ir.programs import rotation_pipeline, rus_cfg, rus_loop
 from hugr_ir.structure import (
     CfgView,
@@ -31,11 +33,12 @@ from hugr_ir.structure import (
     structure_all,
     structure_cfg,
 )
-from hugr_ir.types import QUBIT, Signature
+from hugr_ir.types import BOOL, F64, QUBIT, EnumType, Signature
 
 from generators import (
     cfg_per_function,
     main_region,
+    measured_successor_cfg,
     nested_cfg_module,
     random_reducible_cfg,
     successor_cfg,
@@ -155,12 +158,12 @@ class TestReducibility:
             assert is_reducible(CfgView.of(h, _cfg_node(h)))
 
 
-def _run_qubit_program(h, script, registry):
+def _run_qubit_program(h, script, registry, entry="main"):
     """(classical outputs, final state) or the raised interp error type."""
     it = Interpreter(h, registry, Scripted(script))
     q = it.state.alloc()
     try:
-        outs = it.run("main", [q])
+        outs = it.run(entry, [q])
     except ScriptExhausted:
         return "exhausted", None
     qubits = [v for v in outs if hasattr(v, "token")]
@@ -252,8 +255,6 @@ class TestStructureCfg:
         assert encode(h) == reference
 
     def test_non_row_preserving_branching_rejected(self, registry):
-        from hugr_ir.types import BOOL
-
         # the entry widens the row from (qubit) to (qubit, bool) and branches
         m = new_module(registry)
         b = m.define_function("main", Signature((QUBIT,), (QUBIT, BOOL)))
@@ -298,6 +299,35 @@ class TestStructureCfg:
                 if got[1] is not None and want[1] is not None:
                     assert state_fidelity(got[1], want[1]) >= 1 - 1e-9
 
+    @pytest.mark.filterwarnings("ignore:pruning unreachable block")
+    def test_random_successor_maps_run_as_their_cfgs(self, registry):
+        # duplicate, reordered and multi-way successors: every tag map is exercised
+        rng = np.random.default_rng(73)
+        kinds, ran = Counter(), 0
+        while kinds["structured"] < 150:
+            n = int(rng.integers(1, 7))
+            succs = [[int(t) for t in rng.integers(-1, n, size=int(rng.integers(1, 4)))]
+                     for _ in range(n)]
+            original = measured_successor_cfg(succs, registry)
+            structured = original.copy()
+            try:
+                structure_all(structured, registry)
+            except StructuringError as exc:
+                kinds[type(exc).__name__] += 1
+                continue
+            kinds["structured"] += 1
+            assert validate(structured, registry) == []
+            for _ in range(6):
+                script = [bool(x) for x in rng.integers(0, 2, size=24)]
+                got = _run_qubit_program(structured, script, registry)
+                want = _run_qubit_program(original, script, registry)
+                assert got[0] == want[0], (succs, script)
+                if want[1] is not None:
+                    ran += 1
+                    assert state_fidelity(got[1], want[1]) >= 1 - 1e-9, (succs, script)
+        assert kinds["IrreducibleCfg"] and kinds["UnsupportedCfg"], kinds
+        assert ran >= 600, ran
+
     def test_unreachable_blocks_pruned_with_warning(self, registry):
         m = new_module(registry)
         b = m.define_function("main", Signature((QUBIT,), (QUBIT,)))
@@ -320,6 +350,36 @@ class TestStructureCfg:
         assert validate(h, registry) == []
 
 
+@pytest.fixture(scope="module")
+def grammar_cfgs(registry):
+    """(input, ``naive_structure_all`` output, ``structure_all`` output) for 200
+    grammar CFGs of 1 to 30 blocks."""
+    rng = np.random.default_rng(53)
+    triples = []
+    for _ in range(200):
+        h = random_reducible_cfg(rng, max_blocks=int(rng.integers(1, 31)), registry=registry)
+        triples.append((h, naive_structure_all(h.copy(), registry),
+                        structure_all(h.copy(), registry)))
+    return triples
+
+
+def _check_same_semantics(got, want, registry, rng, scripts=6):
+    """Both validate, hold no CFG, and every function gives the same outcomes
+    and states on ``scripts`` seeded outcome scripts."""
+    for h in (got, want):
+        assert validate(h, registry) == []
+        assert not [n for n in h.preorder() if isinstance(h.op(n), Cfg)]
+    entries = [got.op(f).name for f in got.children(got.root)]
+    for _ in range(scripts):
+        script = [bool(x) for x in rng.integers(0, 2, size=12)]
+        for entry in entries:
+            a = _run_qubit_program(got, script, registry, entry)
+            b = _run_qubit_program(want, script, registry, entry)
+            assert a[0] == b[0], (entry, script)
+            if a[1] is not None and b[1] is not None:
+                assert state_fidelity(a[1], b[1]) >= 1 - 1e-9, (entry, script)
+
+
 def _outcome(reduce, view):
     """The fragment repr, or the error class and message, of a reduction."""
     try:
@@ -329,17 +389,16 @@ def _outcome(reduce, view):
 
 
 class TestFoldAgainstOldCode:
-    """The incremental fold against the full-rescan loops kept in oracles.py."""
+    """The incremental fold against the full-rescan loops kept in oracles.py,
+    whose emission builds every successor-tag map as a conditional."""
 
-    def test_structure_all_bytes_on_random_grammar_cfgs(self, registry):
-        rng = np.random.default_rng(53)
+    def test_structure_all_bytes_on_random_grammar_cfgs(self, registry, grammar_cfgs):
+        # the outputs differ in tag plumbing only: they must run alike
+        rng = np.random.default_rng(61)
         sizes = set()
-        for _ in range(200):
-            h = random_reducible_cfg(rng, max_blocks=int(rng.integers(1, 31)),
-                                     registry=registry)
-            sizes.add(len(CfgView.of(h, _cfg_node(h)).blocks))
-            want = encode(naive_structure_all(h.copy(), registry))
-            assert encode(structure_all(h, registry)) == want
+        for original, want, got in grammar_cfgs:
+            sizes.add(len(CfgView.of(original, _cfg_node(original)).blocks))
+            _check_same_semantics(got, want, registry, rng)
         assert min(sizes) == 1 and max(sizes) >= 25
 
     def test_verdicts_and_errors_on_random_successor_maps(self):
@@ -361,6 +420,63 @@ class TestFoldAgainstOldCode:
             if not isinstance(got, tuple):
                 assert bool(_reduce(view).depth) == _naive_needs_dispatch(naive_reduce(view))
         assert min(kinds[k] for k in ("folded", "IrreducibleCfg", "UnsupportedCfg")) >= 100
+
+
+def _tag_plumbing(h):
+    """Counts of the shapes that only move successor tags around."""
+    conds = [n for n in h.preorder() if isinstance(h.op(n), Conditional)]
+    loops = [n for n in h.preorder() if isinstance(h.op(n), TailLoop)]
+    return Counter(
+        unary=sum(h.op(c).cardinality == 1 for c in conds),
+        # a single-exit loop's seed tag, and its exit conditional
+        seed=sum(EnumType(1) in h.op(n).loop_vars for n in loops),
+        exit=sum(h.op(c).outputs[:2] == (BOOL, EnumType(1)) for c in conds))
+
+
+class TestOutputShape:
+    """What ``structure_all`` no longer builds, on the grammar CFGs above."""
+
+    def test_no_tag_only_plumbing(self, grammar_cfgs):
+        old = sum((_tag_plumbing(want) for _, want, _ in grammar_cfgs), Counter())
+        # the old emission builds every shape, so the check can see them
+        assert min(old[k] for k in ("unary", "seed", "exit")) > 0, old
+        for _, _, got in grammar_cfgs:
+            assert not +_tag_plumbing(got)
+
+    def test_retags_only_a_tag_no_constant_or_wire_can_carry(self, registry, grammar_cfgs,
+                                                             monkeypatch):
+        import hugr_ir.structure as structure
+
+        maps = []
+
+        def recorded(b, tag, vals, retag, arity, row):
+            maps.append(retag)
+            return retag_conditional(b, tag, vals, retag, arity, row)
+
+        retag_conditional = structure._retag
+        monkeypatch.setattr(structure, "_retag", recorded)
+        for original, _, _ in grammar_cfgs:  # every loop repeats on tag 0
+            structure_all(original.copy(), registry)
+        assert maps == []
+        # a self-loop repeating on tag 1: its flag is the block's tag swapped
+        original = successor_cfg([[-1, 0]], registry)
+        structured = structure_all(original.copy(), registry)
+        assert maps == [(1, 0)]
+        _check_against_cfg(structured, original, registry)
+
+    def test_at_most_six_tenths_of_the_old_nodes(self, grammar_cfgs):
+        old = sum(len(want) for _, want, _ in grammar_cfgs)
+        new = sum(len(got) for _, _, got in grammar_cfgs)
+        assert new <= 0.6 * old, (new, old)
+
+    def test_bytes_unchanged_without_control_ops(self, grammar_cfgs):
+        straight = 0
+        for _, want, got in grammar_cfgs:
+            if not [n for n in got.preorder()
+                    if isinstance(got.op(n), (Conditional, TailLoop))]:
+                assert encode(got) == encode(want)
+                straight += 1
+        assert straight >= 10, straight
 
 
 def _check_against_cfg(structured, original, registry):
@@ -431,7 +547,7 @@ def test_a_fault_beside_the_cfg_is_refused_before_any_change(registry):
 
 def _structured_or_error(structure, h, registry):
     try:
-        return "bytes", encode(structure(h, registry))
+        return "structured", structure(h, registry)
     except StructuringError as exc:
         return type(exc).__name__, str(exc)
 
@@ -450,9 +566,66 @@ def _ancestors(h, n):
         yield n
 
 
+def _beside_every_cfg(h, registry):
+    """An unused ``F64`` constant and an ``Rz`` on a fresh qubit, with a constant
+    angle, in every region that holds a CFG; and a constant there that only the
+    CFGs' entry blocks load, leaving the load unused."""
+    cfgs = [n for n in h.preorder() if isinstance(h.op(n), Cfg)]
+    for region in dict.fromkeys(h.parent(n) for n in cfgs):
+        b = DfBuilder.attach(h, region, registry)
+        b.const(0.5, F64)
+        (a,) = b.q("QAlloc")
+        (a,) = b.q("Rz", a, b.const(0.25, F64))
+        b.q("QFree", a)
+        const = h.add_node(Const(0.125, F64), region)
+        for cfg in h.children(region):
+            if isinstance(h.op(cfg), Cfg):
+                load = h.add_node(LoadConst(F64), h.children(cfg)[0])
+                h.connect(out_port(const, 0), in_port(load, 0), Static(F64))
+    return h
+
+
+def _outside_cfgs(h):
+    """The nodes outside every CFG subtree, and their ports wired to a CFG."""
+    inside = {n for c in h.preorder() if isinstance(h.op(c), Cfg) for n in h.preorder(c)}
+    keep = {n for n in h.preorder() if n not in inside}
+    boundary = set()
+    for n in inside:
+        nd = h.node(n)
+        boundary |= {e.src for es in nd.in_edges for e in es if e.src.node in keep}
+        boundary |= {e.dst for es in nd.out_edges for e in es if e.dst.node in keep}
+    return keep, boundary
+
+
+def _snapshot(h, keep, boundary):
+    """Op, parent and kept children of every node in ``keep``; the edges among
+    them away from ``boundary``; whether every boundary value port is still
+    wired (a constant that a CFG loaded may lose a load nothing used)."""
+    nodes = {n: (h.op(n), h.parent(n), [c for c in h.children(n) if c in keep])
+             for n in keep if n in h}
+    edges = {(e.src, e.dst) for n in nodes for es in h.node(n).out_edges for e in es
+             if e.dst.node in keep and not {e.src, e.dst} & boundary}
+    return nodes, edges, all(h.edges_at(p) for p in boundary
+                             if not isinstance(h.port_kind(p), Static))
+
+
+def test_structuring_keeps_every_node_outside_the_cfgs(registry):
+    rng = np.random.default_rng(71)
+    for i in range(60):
+        h = (random_reducible_cfg(rng, max_blocks=int(rng.integers(1, 13)), registry=registry)
+             if i % 2 else nested_cfg_module(rng, registry))
+        _beside_every_cfg(h, registry)
+        assert validate(h, registry) == []
+        keep, boundary = _outside_cfgs(h)
+        before = _snapshot(h, keep, boundary)
+        structure_all(h, registry)
+        assert validate(h, registry) == []
+        assert _snapshot(h, keep, boundary) == before
+
+
 class TestOneValidationPerStructureAll:
     """``structure_all`` against the drivers kept in oracles.py that validate
-    the whole graph for every CFG."""
+    the whole graph for every CFG and build the tag plumbing the old way."""
 
     def test_agrees_on_nested_cfgs_with_and_without_a_fault(self, registry):
         from hugr_ir import ext_op
@@ -462,16 +635,25 @@ class TestOneValidationPerStructureAll:
         outcomes, places = Counter(), Counter()
         for _ in range(400):
             h = nested_cfg_module(rng, registry)
+            fault = None
             if rng.random() < 0.5:  # one unwired gate in a random dataflow region
                 regions = dataflow_regions(h)
                 region = regions[int(rng.integers(len(regions)))]
-                h.add_node(ext_op(registry, "stdlib.quantum", "H"), region)
+                fault = h.add_node(ext_op(registry, "stdlib.quantum", "H"), region)
                 places[_fault_place(h, region)] += 1
             want = _structured_or_error(revalidating_structure_all, h.copy(), registry)
             got = _structured_or_error(structure_all, h, registry)
-            assert got == want
             outcomes[got[0]] += 1
-        assert set(outcomes) == {"bytes", "InvalidInput"}
+            if got[0] != "structured" or want[0] != "structured":
+                assert got == want  # the same refusal, word for word
+                continue
+            if fault is not None:  # a fault away from every CFG stays as it was
+                assert [d.render() for d in validate(got[1], registry)] == \
+                    [d.render() for d in validate(want[1], registry)] != []
+                got[1].remove_node(fault)
+                want[1].remove_node(fault)
+            _check_same_semantics(got[1], want[1], registry, rng)
+        assert set(outcomes) == {"structured", "InvalidInput"}
         assert min(outcomes.values()) >= 100, outcomes
         assert min(places[p] for p in ("inside", "beside", "elsewhere")) >= 20, places
 
