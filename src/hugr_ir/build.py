@@ -4,13 +4,19 @@ A :class:`DfBuilder` wraps one dataflow container (function body, case body,
 loop body, block body) and auto-wires value edges as operations are appended.
 Wires are outgoing ports; their types come from the source port row, so edges
 are typed at construction and later checked by validation.
+
+:func:`replace` is the one checked replacement that rewriting and
+structuring share: it builds new nodes into a region, moves the consumers of
+the old nodes onto them, checks what changed, and restores the host exactly
+if the check or anything before it fails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
-from .graph import Edge, Hugr, Port, in_port, out_port
+from .graph import Edge, Hugr, Port, RemovedSubtree, in_port, out_port
 from .ops import (
     BasicBlock,
     Call,
@@ -35,6 +41,7 @@ from .ops import (
     value_signature,
 )
 from .types import EnumType, PolySignature, Signature, Type
+from .validate import validate_touched
 
 Wire = Port  # always an outgoing port
 
@@ -250,8 +257,10 @@ def splice_region(dst: DfBuilder, src: Hugr, src_region: int,
 
     The source region's Input node is replaced by ``input_wires``; the wires
     feeding its Output node are returned. Nested containers are copied whole.
-    Static edges from outside the region are kept pointing at their original
-    source, which must live in ``dst``'s graph.
+    When ``src`` is ``dst``'s graph, a static edge into the region from
+    outside it (a ``Call`` of another function, a ``LoadConst`` of an outer
+    ``Const``) is copied from the same source; from another graph it is left
+    out, so the copy fails validation.
     """
     children = src.children(src_region)
     if len(children) < 2:
@@ -277,27 +286,92 @@ def splice_region(dst: DfBuilder, src: Hugr, src_region: int,
         nd = src.node(old)
         for edges in nd.out_edges:
             for e in edges:
-                s_in = e.src.node in copied or e.src.node == src_input
-                d_in = e.dst.node in copied or e.dst.node == src_output
-                if not s_in and not d_in:
-                    continue
                 if e.src.node == src_input:
                     new_src = input_wires[e.src.offset]
                 elif e.src.node in copied:
                     new_src = out_port(mapping[e.src.node], e.src.offset)
                 else:
-                    # static reference into the region from outside
-                    if src is not dst.hugr:
-                        raise BuildError("fragment references a node outside itself")
-                    new_src = e.src
+                    continue
                 if e.dst.node == src_output:
                     out_wires[e.dst.offset] = new_src
                 elif e.dst.node in copied:
                     kind = e.kind if isinstance(e.kind, Static) else dst.wire_kind(new_src)
                     dst.hugr.connect(new_src, in_port(mapping[e.dst.node], e.dst.offset), kind)
+    if src is dst.hugr:  # static edges into the region from outside it
+        for old, new in mapping.items():
+            for edges in src.node(old).in_edges:
+                for e in edges:
+                    if e.src.node not in copied and e.src.node != src_input:
+                        dst.hugr.connect(e.src, in_port(new, e.dst.offset), e.kind)
 
     n_out = len(value_signature(src.op(src_output)).inputs)
     missing = [i for i in range(n_out) if i not in out_wires]
     if missing:
         raise BuildError(f"region {src_region} leaves outputs {missing} unwired")
     return tuple(out_wires[i] for i in range(n_out))
+
+
+# ── checked replacement ────────────────────────────────────────────
+
+def replace(h: Hugr, region: int, old: list[int], outputs: list[Port],
+            inputs: tuple[Wire, ...],
+            build: Callable[[DfBuilder, tuple[Wire, ...]], tuple[Wire, ...]],
+            registry: Registry, invalid: Callable[[str], Exception],
+            ) -> tuple[list[RemovedSubtree], list[int], list[Edge]]:
+    """Replace the nodes ``old`` of dataflow ``region`` by what ``build``
+    makes there from ``inputs``, and check the nodes whose wiring changed.
+
+    ``build(builder, inputs)`` returns one wire per port of ``outputs``, the
+    ports of ``old`` the rest of the region reads; their consumers outside
+    ``old`` are moved onto those wires, in order. Then ``old`` is removed and
+    the region's new children, the sources of ``inputs`` and the consumers
+    are checked with ``validate_touched``: a fragment wired in only at its
+    boundary keeps a valid region valid when they pass. On a diagnostic
+    this raises ``invalid`` of the first one rendered. On that or any other
+    exception the host is restored exactly (:func:`revert`) before it
+    propagates.
+
+    Returns what :func:`revert` needs to undo the replacement: the removed
+    subtrees, the new children of ``region`` in ascending id order, and the
+    new edges between nodes that were there before (a wire that passes an
+    input straight through to a consumer).
+    """
+    gone = set(old)
+    consumers = [[e.dst for e in h.edges_at(p) if e.dst.node not in gone] for p in outputs]
+    watermark = h.next_id
+    removed: list[RemovedSubtree] = []
+    added_edges: list[Edge] = []
+    try:
+        builder = DfBuilder.attach(h, region, registry)
+        wires = build(builder, inputs)
+        for n in old:
+            removed.append(h.remove_node(n))
+        for wire, ports in zip(wires, consumers):
+            for dst in ports:
+                edge = builder.connect(wire, dst)
+                if wire.node < watermark:  # between two old nodes
+                    added_edges.append(edge)
+        added = [n for n in range(watermark, h.next_id) if h.parent(n) == region]
+        touched = {*added, *(w.node for w in inputs),
+                   *(dst.node for ports in consumers for dst in ports)}
+        diags = validate_touched(h, region, touched, registry)
+        if diags:
+            raise invalid(diags[0].render())
+    except Exception:
+        # ascending ids reach each new container before what it holds
+        revert(h, removed, range(watermark, h.next_id), added_edges)
+        raise
+    return removed, added, added_edges
+
+
+def revert(h: Hugr, removed: list[RemovedSubtree], added_nodes: Iterable[int],
+           added_edges: list[Edge]) -> None:
+    """Undo a :func:`replace` from what it returned."""
+    for e in added_edges:
+        if h.has_edge(e):
+            h.disconnect(e)
+    for n in added_nodes:
+        if n in h:
+            h.remove_node(n)
+    for sub in reversed(removed):
+        h.restore(sub)

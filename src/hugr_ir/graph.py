@@ -13,10 +13,14 @@ is a slotted record whose edge lists are sized from its op's port rows.
 decoder does; edges always go through :meth:`Hugr.connect`.
 
 Node ids are never reused within one graph instance, which keeps undo logs
-and rewrite deltas unambiguous. :meth:`Hugr.remove_node` unlinks only the
-boundary: an edge leaves the list of its endpoint outside the removed
-subtree, and the subtree's own lists go with its nodes. Mutation requires
-exclusive access; reads are safe to share.
+and rewrite deltas unambiguous; :attr:`Hugr.next_id` is the id the next
+node will get. :meth:`Hugr.remove_node` unlinks only the boundary: an edge
+leaves the list of its endpoint outside the removed subtree, and the
+subtree's own lists go with its nodes. Removing or restoring a subtree
+costs its size and its boundary edges plus one search of its siblings list:
+no mutator audits the whole hierarchy, which ``validate`` checks
+(``NonTreeHierarchy``). Mutation requires exclusive access; reads are safe
+to share.
 
 Every mutating method bumps :attr:`Hugr.version`. Values derived from the
 graph by :meth:`Hugr.derived` are kept until the version next moves, so any
@@ -135,6 +139,11 @@ class Hugr:
 
     def __len__(self) -> int:
         return len(self._nodes)
+
+    @property
+    def next_id(self) -> int:
+        """The id the next added node gets; every id below it has been used."""
+        return self._next_id
 
     def node(self, node: int) -> Node:
         try:
@@ -318,7 +327,6 @@ class Hugr:
                     else:
                         inner.add(id(e))
                     edges.append(e)
-        assert node not in siblings
         self.version += 1
         return RemovedSubtree([(nd.id, nd.parent, nd.op) for nd in popped], edges, index)
 
@@ -337,23 +345,6 @@ class Hugr:
         for e in removed.edges:
             self.connect(e.src, e.dst, e.kind)
         self.version += 1
-        if __debug__:
-            self._assert_tree()
-
-    # ── integrity ──────────────────────────────────────────────────
-
-    def _assert_tree(self) -> None:
-        """Full hierarchy audit: a tree, parent links consistent, no orphans."""
-        seen: set[int] = set()
-        stack = [self.root]
-        while stack:
-            n = stack.pop()
-            assert n not in seen, f"hierarchy cycle through node {n}"
-            seen.add(n)
-            for c in self._nodes[n].children:
-                assert self._nodes[c].parent == n, f"bad parent link at {c}"
-                stack.append(c)
-        assert seen == set(self._nodes), "orphaned nodes outside the hierarchy"
 
     def copy(self) -> "Hugr":
         """Structural copy preserving node ids and edge insertion order."""

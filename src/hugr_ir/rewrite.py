@@ -10,11 +10,13 @@ for each node of the region, the convexity walk is bounded by the image's
 last node: a path that leaves the image and comes back passes only through
 nodes placed before it.
 
-Applying a rule removes the matched image, splices in the replacement
-fragment with the same boundary signature, re-validates the nodes whose
-wiring changed, and returns an invertible delta. On any error the host is
-left unchanged. A match is re-verified before it is applied unless the
-matcher verified it on this very host at its current version.
+Applying a rule is one :func:`~hugr_ir.build.replace`: it splices in the
+replacement fragment, which has the image's boundary signature, removes the
+matched image, moves the image's consumers onto the fragment's outputs and
+re-validates the nodes whose wiring changed. It returns an invertible delta,
+which :func:`undo` reverts as ``replace`` reverts a failure: on any error
+the host is left unchanged. A match is re-verified before it is applied
+unless the matcher verified it on this very host at its current version.
 
 Saturation keeps a worklist of candidate anchors per rule, so each
 application re-matches only near the rewrite instead of rescanning the host.
@@ -29,11 +31,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from math import inf
 
-from .build import DfBuilder, splice_region
+from .build import BuildError, DfBuilder, replace, revert, splice_region
 from .graph import Hugr, Port, RemovedSubtree, in_port, out_port, region_order
 from .ops import ExtensionOp, FuncDef, OpKind, Registry, Value, value_signature
 from .types import Signature
-from .validate import dataflow_regions, validate_touched
+from .validate import dataflow_regions
 
 WILDCARD_EXTENSION = "pattern.wild"
 
@@ -460,47 +462,21 @@ def apply(rule: RewriteRule, match: Match, h: Hugr, registry: Registry) -> Rewri
     if verified is None or verified[0] is not h or verified[1] != h.version:
         _recheck(rule.lhs, match, h)
 
-    region = match.region
-    image = match.image()
-    n_out = len(rule.lhs.boundary().outputs)
-    consumers: list[list[Port]] = []
-    for j in range(n_out):
-        hp = match.host_output_port(j)
-        consumers.append([e.dst for e in h.edges_at(hp) if e.dst.node not in image])
+    body = fragment_region(rule.rhs)
 
-    watermark = h._next_id
-    removed = [h.remove_node(match.mapping[pn]) for pn in sorted(match.mapping)]
-    added_edges: list = []
+    def build(b: DfBuilder, ins: tuple[Port, ...]) -> tuple[Port, ...]:
+        try:
+            return splice_region(b, rule.rhs, body, ins)
+        except BuildError as exc:  # a replacement that is no dataflow fragment
+            raise ValidationFailed(f"rule {rule.name!r}: {exc}") from exc
 
-    try:
-        builder = DfBuilder.attach(h, region, registry)
-        rhs_outs = splice_region(builder, rule.rhs, fragment_region(rule.rhs),
-                                 match.boundary_sources)
-        for j, wire in enumerate(rhs_outs):
-            for dst in consumers[j]:
-                edge = builder.connect(wire, dst)
-                if wire.node < watermark and dst.node < watermark:
-                    added_edges.append(edge)
-        added = _added_children(h, region, watermark)
-        touched = set(added)
-        touched.update(s.node for s in match.boundary_sources)
-        touched.update(dst.node for ports in consumers for dst in ports)
-        diags = validate_touched(h, region, touched, registry)
-        if diags:
-            raise ValidationFailed(
-                f"rule {rule.name!r} left the region invalid: {diags[0].render()}")
-    except Exception:
-        _revert(h, added_edges, _added_children(h, region, watermark), removed)
-        raise
-
-    return RewriteDelta(rule.name, region, match.anchor_host(), removed, added,
+    outputs = [match.host_output_port(j) for j in range(len(rule.lhs.boundary().outputs))]
+    removed, added, added_edges = replace(
+        h, match.region, [match.mapping[pn] for pn in sorted(match.mapping)], outputs,
+        match.boundary_sources, build, registry,
+        lambda msg: ValidationFailed(f"rule {rule.name!r} left the region invalid: {msg}"))
+    return RewriteDelta(rule.name, match.region, match.anchor_host(), removed, added,
                         added_edges)
-
-
-def _added_children(h: Hugr, region: int, watermark: int) -> list[int]:
-    """The children of ``region`` made since node id ``watermark``, ascending.
-    Ids are never reused, so only the new ids are looked at."""
-    return [n for n in range(watermark, h._next_id) if n in h and h.parent(n) == region]
 
 
 def _recheck(pattern: Pattern, match: Match, h: Hugr) -> None:
@@ -517,19 +493,7 @@ def _recheck(pattern: Pattern, match: Match, h: Hugr) -> None:
 
 def undo(h: Hugr, delta: RewriteDelta) -> None:
     """Invert a successful application, restoring the original structure."""
-    _revert(h, delta.added_edges, delta.added_nodes, delta.removed)
-
-
-def _revert(h: Hugr, added_edges: list, added_nodes: list[int],
-            removed: list[RemovedSubtree]) -> None:
-    for e in added_edges:
-        if h.has_edge(e):
-            h.disconnect(e)
-    for n in added_nodes:
-        if n in h:
-            h.remove_node(n)
-    for sub in reversed(removed):
-        h.restore(sub)
+    revert(h, delta.removed, delta.added_nodes, delta.added_edges)
 
 
 # ── saturation ─────────────────────────────────────────────────────

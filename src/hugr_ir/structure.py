@@ -27,9 +27,15 @@ dispatch or loop needs to be built, because the payload-free successor tags
 force every merged path to carry one common value row. Straight-line CFGs
 are inlined without that restriction.
 
-:func:`structure_all` validates its input once. Structuring a CFG changes,
-and then checks with ``validate_touched``, only the nodes it added and the
-CFG's neighbours, so every later CFG still sees the input's diagnostics.
+Structuring a CFG is one checked replacement (:func:`~hugr_ir.build.replace`,
+as ``rewrite.apply`` is): the structured nodes are built beside the CFG, the
+CFG's consumers move onto them, the CFG goes, and only the nodes added and
+the CFG's neighbours are checked. If the check fails, the graph is restored
+exactly and :class:`StructuringError` is raised; an exception from the build
+restores it too, so a refused CFG is left as it was. The sweep runs only
+after a successful replacement, since removing unused constants cannot
+invalidate a region. :func:`structure_all` validates its input once, and
+every later CFG still sees its diagnostics.
 """
 
 from __future__ import annotations
@@ -39,11 +45,10 @@ import sys
 import warnings
 from dataclasses import dataclass
 
-from .build import DfBuilder, splice_region
+from .build import DfBuilder, replace, splice_region
 from .graph import Hugr, in_port, out_port
 from .ops import BasicBlock, Cfg, ExitBlock, LoadConst, Registry
 from .types import BOOL, EnumType, Type
-from .validate import validate_touched
 
 
 class StructuringError(Exception):
@@ -160,44 +165,6 @@ def _intersect(a: int, b: int, idom: dict[int, int], pos: dict[int, int]) -> int
         while pos[b] > pos[a]:
             b = idom[b]
     return a
-
-
-@dataclass
-class LoopCandidate:
-    """A natural loop: back edges into a header that dominates the body."""
-
-    header: int
-    back_edges: list[tuple[int, int]]
-    body: set[int]
-
-
-def loop_candidates(view: CfgView) -> list[LoopCandidate]:
-    idom = dominators(view)
-
-    def dominates(a: int, b: int) -> bool:
-        while True:
-            if a == b:
-                return True
-            if b == view.entry:
-                return False
-            b = idom[b]
-
-    preds = _predecessors(view)
-    loops: dict[int, LoopCandidate] = {}
-    for b, succs in view.succ.items():
-        for s in succs:
-            if s != view.exit and dominates(s, b):
-                cand = loops.setdefault(s, LoopCandidate(s, [], {s}))
-                cand.back_edges.append((b, s))
-                # walk predecessors from the latch up to the header
-                stack = [b]
-                while stack:
-                    n = stack.pop()
-                    if n in cand.body:
-                        continue
-                    cand.body.add(n)
-                    stack.extend(preds[n])
-    return [loops[k] for k in sorted(loops)]
 
 
 def is_reducible(view: CfgView) -> bool:
@@ -423,16 +390,17 @@ def _retag(b: DfBuilder, tag, vals, retag: tuple[int, ...], arity: int,
     return outs[0], tuple(outs[1:])
 
 
-def _sweep_dead_consts(h: Hugr, watermark: int) -> None:
-    """Remove the unused ``LoadConst`` nodes made since ``watermark``, in any
-    region, then the ``Const`` nodes made since then that are left unused."""
+def _sweep_dead_consts(h: Hugr, added: list[int]) -> None:
+    """Remove the unused ``LoadConst`` nodes in the subtrees of ``added``, then
+    the ``Const`` nodes there that are left unused."""
+    made = {n for a in added for n in h.preorder(a)}
     fed = []
-    for n in range(watermark, h._next_id):
-        if n in h and isinstance(h.op(n), LoadConst) and not any(h.node(n).out_edges):
+    for n in made:
+        if isinstance(h.op(n), LoadConst) and not any(h.node(n).out_edges):
             fed.extend(p.node for p in h.neighbours(in_port(n, 0)))
             h.remove_node(n)
     for c in fed:
-        if c >= watermark and c in h and not any(h.node(c).out_edges):
+        if c in made and c in h and not any(h.node(c).out_edges):
             h.remove_node(c)
 
 
@@ -477,26 +445,13 @@ def _structure(h: Hugr, cfg: int, registry: Registry, diags: list) -> Hugr:
         raise UnsupportedCfg(
             f"control flow nests {folded.depth} deep, over the limit of {limit}")
 
-    builder = DfBuilder.attach(h, parent, registry)
-    in_wires = tuple(h.neighbours(in_port(cfg, i))[0]
-                     for i in range(len(op.signature.inputs)))
-    consumers = [list(h.neighbours(out_port(cfg, i)))
-                 for i in range(len(op.signature.outputs))]
-
-    watermark = h._next_id
-    _, out_wires = _emit(folded.frag, builder, h, in_wires, row, (0,) * folded.frag.arity, 1)
-
-    h.remove_node(cfg)
-    for i, wire in enumerate(out_wires):
-        for dst in consumers[i]:
-            builder.connect(wire, dst)
-    _sweep_dead_consts(h, watermark)
-    # a DAG wired only at the CFG's boundary: check it as ``rewrite.apply`` does
-    touched = {*range(watermark, h._next_id), *(w.node for w in in_wires),
-               *(dst.node for ports in consumers for dst in ports)}
-    diags = validate_touched(h, parent, touched, registry)
-    if diags:
-        raise StructuringError(f"structuring produced an invalid region: {diags[0].render()}")
+    in_wires = tuple(h.neighbours(in_port(cfg, i))[0] for i in range(len(row)))
+    outputs = [out_port(cfg, i) for i in range(len(op.signature.outputs))]
+    _, added, _ = replace(
+        h, parent, [cfg], outputs, in_wires,
+        lambda b, ins: _emit(folded.frag, b, h, ins, row, (0,) * folded.frag.arity, 1)[1],
+        registry, lambda msg: StructuringError(f"structuring produced an invalid region: {msg}"))
+    _sweep_dead_consts(h, added)
     return h
 
 
@@ -507,7 +462,11 @@ def _block_rows(h: Hugr, block: int) -> tuple[tuple[Type, ...], tuple[Type, ...]
 
 
 def structure_all(h: Hugr, registry: Registry) -> Hugr:
-    """Structure every CFG node, innermost first."""
+    """Structure every CFG node, innermost first.
+
+    On a :class:`StructuringError` the failing CFG is left unchanged, and the
+    CFGs structured before it stay structured.
+    """
     from .validate import validate
 
     walk, stack = [], [h.root]  # reversed, the postorder with siblings left to right

@@ -1,10 +1,14 @@
 """Whole-graph validity checks.
 
-Typing and linearity are enforced continuously between transformation steps:
-a rewrite or structuring pass re-checks the nodes whose wiring it changed with
-:func:`validate_touched`, so a bad transformation surfaces immediately. A
-fragment wired in only at its boundary cannot create a cycle, so that check
-costs what was replaced and still keeps a valid region valid.
+Typing and linearity are enforced continuously between transformation steps.
+Rewriting and structuring change a graph through one checked replacement,
+:func:`~hugr_ir.build.replace`, which re-checks the nodes whose wiring it
+changed with :func:`validate_touched` and undoes a replacement that fails,
+so a bad transformation surfaces immediately and leaves the graph as it
+was. A fragment wired in only at its boundary cannot create a cycle, so that
+check costs what was replaced and still keeps a valid region valid. The
+hierarchy check here is the only whole-tree audit: the mutators of
+:class:`~hugr_ir.graph.Hugr` run none.
 
 Checks, per the container owning each region:
   * the hierarchy is a tree rooted at a module;

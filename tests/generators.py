@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from hugr_ir import (
+    Code,
     Extension,
     Hugr,
     OpDef,
@@ -16,11 +17,18 @@ from hugr_ir import (
     out_port,
     register,
     stdlib,
+    validate,
 )
 from hugr_ir.build import DfBuilder, new_module
 from hugr_ir.types import BOOL, F64, QUBIT, EnumType, Signature
 
 ONE_QUBIT_GATES = ["H", "X", "Z", "T", "Tdg", "TxDg"]
+
+
+def hierarchy_faults(h: Hugr) -> list:
+    """``validate``'s ``NonTreeHierarchy`` diagnostics for ``h``: the audit of
+    the whole tree that the graph's mutators leave to the tests."""
+    return [d for d in validate(h, stdlib()) if d.code is Code.NonTreeHierarchy]
 
 
 def main_region(h: Hugr) -> int:

@@ -21,7 +21,7 @@ from hugr_ir.rewrite import (
 from hugr_ir.rules import _passthrough, hh_cancel
 from hugr_ir.types import QUBIT, PolySignature, Signature
 
-from generators import chain_circuit, main_region
+from generators import chain_circuit, hierarchy_faults, main_region
 from oracles import naive_saturate
 
 Q2 = (QUBIT,) * 2
@@ -128,6 +128,7 @@ class TestRecheck:
         with pytest.raises(WouldCreateCycle):
             apply(rule, match, h, registry)
         assert encode(h) == before
+        assert hierarchy_faults(h) == []
 
     def test_a_copy_at_the_same_version_is_rechecked(self, registry):
         h = chain_circuit(["H", "H", "X"], registry)
@@ -142,6 +143,7 @@ class TestRecheck:
         assert c.version == version  # the stamp's version alone would let it through
         with pytest.raises(StaleMatch):
             apply(rule, match, c, registry)
+        assert hierarchy_faults(c) == []
 
     def test_a_verified_match_is_not_rechecked(self, registry, monkeypatch):
         checks = []

@@ -25,8 +25,8 @@ from test_fuzz import MUTANTS, _mutate, _paths
 
 def _state(h: Hugr) -> tuple:
     """Everything the reader builds, in storage order."""
-    return h.root, h._next_id, [(nid, nd.parent, nd.op, nd.children, nd.in_edges, nd.out_edges)
-                                for nid, nd in h._nodes.items()]
+    return h.root, h.next_id, [(nid, nd.parent, nd.op, nd.children, nd.in_edges, nd.out_edges)
+                               for nid, nd in h._nodes.items()]
 
 
 def _outcome(read, doc):

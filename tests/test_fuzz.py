@@ -6,19 +6,24 @@ value with junk, deletes a key or list item, or adds a junk key. Decoding a
 mutant either succeeds or raises :class:`DecodeError`; a graph that decodes
 then validates without raising, and the ``hugr`` commands reading mutant
 files (rules, extensions, and graphs to structure or run) exit with a status
-rather than a traceback.
+rather than a traceback. Mutant rules applied to a circuit and mutant
+programs structured CFG by CFG leave the graph byte for byte as it was when
+they are refused or undone, and a tree.
 """
 
 import copy
 import json
 import random
+from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from hugr_ir import Hugr, decode, encode
+from hugr_ir import Cfg, Hugr, decode, encode
 from hugr_ir.cli import main
-from hugr_ir.programs import all_programs
+from hugr_ir.programs import all_programs, rus_cfg
+from hugr_ir.rewrite import RewriteError, apply, find_matches, undo
 from hugr_ir.rules import standard_rules
 from hugr_ir.serial import (
     DecodeError,
@@ -27,9 +32,10 @@ from hugr_ir.serial import (
     encode_extension,
     encode_rule,
 )
+from hugr_ir.structure import StructuringError, structure_cfg
 from hugr_ir.validate import validate
 
-from generators import chain_circuit
+from generators import chain_circuit, hierarchy_faults, main_region, nested_cfg_module
 
 MUTANTS = 4000
 
@@ -159,3 +165,43 @@ def test_commands_exit_with_a_status_on_mutant_files(registry, tmp_path, capsys)
             assert "Traceback" not in capsys.readouterr().err
         assert statuses <= {0, 1, 2} and len(statuses) > 1, (argv[0], statuses)
     assert escapes == []
+
+
+@pytest.mark.filterwarnings("ignore:ignoring unknown document field",
+                            "ignore:pruning unreachable block")
+def test_refused_and_undone_mutations_leave_the_graph_as_it_was(registry):
+    h = chain_circuit(["H", "H", "X", "X", "H"], registry)
+    reference = encode(h)
+    outcomes = Counter()
+    for text in _mutants([encode_rule(r) for r in standard_rules(registry)], 1500, 8):
+        try:
+            rule = decode_rule(text)
+        except DecodeError:
+            continue
+        for match in find_matches(rule.lhs, h, main_region(h)):
+            try:
+                delta = apply(rule, match, h, registry)
+            except RewriteError:
+                outcomes["refused apply"] += 1
+            else:
+                outcomes["undone apply"] += 1
+                undo(h, delta)
+            assert encode(h) == reference
+            assert hierarchy_faults(h) == []
+    rng = np.random.default_rng(12)
+    programs = [rus_cfg(registry)] + [nested_cfg_module(rng, registry) for _ in range(3)]
+    for text in _mutants([encode(p) for p in programs], 400, 12):
+        try:
+            g = decode(text)
+        except DecodeError:
+            continue
+        for cfg in [n for n in reversed(g.preorder()) if isinstance(g.op(n), Cfg)]:
+            before = encode(g)
+            try:
+                structure_cfg(g, cfg, registry)
+                outcomes["structured"] += 1
+            except StructuringError:
+                outcomes["refused structuring"] += 1
+                assert encode(g) == before
+            assert hierarchy_faults(g) == []
+    assert min(outcomes.values()) >= 5 and len(outcomes) == 4, outcomes

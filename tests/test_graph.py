@@ -18,7 +18,7 @@ from hugr_ir.build import new_module
 from hugr_ir.ops import Case, Conditional, Const, ControlFlow, FuncDef, LoadConst, Module, Static
 from hugr_ir.types import BOOL, F64, QUBIT, PolySignature, Signature
 
-from generators import chain_circuit, main_region
+from generators import chain_circuit, hierarchy_faults, main_region
 
 
 def test_rz_port_counts(registry):
@@ -35,6 +35,7 @@ def test_add_then_remove_is_identity(registry):
     assert len(h) == count + 1
     h.remove_node(n)
     assert len(h) == count
+    assert hierarchy_faults(h) == []
 
 
 def test_children_keep_insertion_order():
@@ -140,6 +141,7 @@ def test_remove_subtree_and_incident_edges(registry):
     before_nodes = len(h)
     h.remove_node(cond)
     assert len(h) == before_nodes - n_children
+    assert hierarchy_faults(h) == []
     # no dangling edges survive
     for e in h.all_edges():
         assert e.src.node in h and e.dst.node in h
@@ -160,8 +162,10 @@ def test_remove_restore_isomorphic(registry):
     x = h.children(main_region(h))[3]
     removed = h.remove_node(x)
     assert encode(h) != reference
+    assert hierarchy_faults(h) == []
     h.restore(removed)
     assert encode(h) == reference
+    assert hierarchy_faults(h) == []
 
 
 def test_remove_root_rejected(registry):
@@ -232,9 +236,11 @@ def test_remove_and_restore_unlink_only_the_boundary(registry):
     assert [nid for nid, *_ in removed.nodes] == subtree
     gone = set(in_order)
     assert port_lists() == {k: [e for e in es if e not in gone] for k, es in before.items()}
+    assert hierarchy_faults(h) == []
 
     h.restore(removed)
     assert encode(h) == reference
+    assert hierarchy_faults(h) == []
     assert port_lists() == {k: [e for e in es if e not in gone] + [e for e in in_order if e in es]
                             for k, es in before.items()}
 
@@ -268,12 +274,12 @@ def test_hierarchy_stays_a_tree_through_mutations(registry):
     from hugr_ir.ops import Conditional
 
     h = measurement_branch(registry)
-    h._assert_tree()
+    assert hierarchy_faults(h) == []
     cond = next(n for n in h.preorder() if isinstance(h.op(n), Conditional))
     removed = h.remove_node(cond)
-    h._assert_tree()
+    assert hierarchy_faults(h) == []
     h.restore(removed)
-    h._assert_tree()
+    assert hierarchy_faults(h) == []
     assert not any(h.is_ancestor(c, h.parent(c)) for c in h.preorder()
                    if h.parent(c) is not None)
 
@@ -328,6 +334,7 @@ def test_has_edge_and_disconnect_follow_the_edge_lists(registry):
     assert sum(e == edge for e in removed.edges) == 1
     h.restore(removed)
     assert h.has_edge(edge)
+    assert hierarchy_faults(h) == []
 
 
 # ── records ────────────────────────────────────────────────────────

@@ -31,7 +31,7 @@ from hugr_ir.rewrite import (
 from hugr_ir.rules import cx_cx_cancel, hh_cancel, rz_merge, standard_rules, xx_cancel
 from hugr_ir.types import F64, QUBIT, Signature
 
-from generators import chain_circuit, main_region, random_circuit
+from generators import chain_circuit, hierarchy_faults, main_region, random_circuit
 from oracles import naive_find_matches
 
 
@@ -231,6 +231,20 @@ class TestApply:
         with pytest.raises(ValidationFailed):
             apply(bad, match, h, registry)
         assert encode(h) == reference
+        assert hierarchy_faults(h) == []
+
+    def test_replacement_with_an_unwired_output_is_refused(self, registry):
+        rule = hh_cancel(registry)
+        m = new_module(registry)
+        m.define_function("fragment", Signature((QUBIT,), (QUBIT,)))  # Output left unwired
+        bad = RewriteRule(rule.lhs, m.hugr, "unwired_rhs")
+        h = chain_circuit(["H", "H"], registry)
+        reference = encode(h)
+        (match,) = find_matches(bad.lhs, h, main_region(h))
+        with pytest.raises(ValidationFailed, match="leaves outputs \\[0\\] unwired"):
+            apply(bad, match, h, registry)
+        assert encode(h) == reference
+        assert hierarchy_faults(h) == []
 
     def test_stale_match_detected(self, registry):
         h = chain_circuit(["H", "H"], registry)
@@ -241,6 +255,7 @@ class TestApply:
         removed = h.remove_node(victim)
         with pytest.raises(StaleMatch):
             apply(rule, match, h, registry)
+        assert hierarchy_faults(h) == []
         h.restore(removed)
         apply(rule, match, h, registry)  # valid again after restoring
 
@@ -253,6 +268,7 @@ class TestApply:
         assert encode(h) != reference
         undo(h, delta)
         assert encode(h) == reference
+        assert hierarchy_faults(h) == []
 
     def test_apply_preserves_validity_on_random_circuits(self, registry):
         rng = np.random.default_rng(12)

@@ -29,7 +29,6 @@ from hugr_ir.structure import (
     _reduce,
     dominators,
     is_reducible,
-    loop_candidates,
     structure_all,
     structure_cfg,
 )
@@ -37,6 +36,7 @@ from hugr_ir.types import BOOL, F64, QUBIT, EnumType, Signature
 
 from generators import (
     cfg_per_function,
+    hierarchy_faults,
     main_region,
     measured_successor_cfg,
     nested_cfg_module,
@@ -123,17 +123,7 @@ class TestDominators:
         view = CfgView(blocks=list(range(n - 1, -1, -1)), entry=n - 1, exit=n, succ=succ)
         assert dominators(view) == {b: min(b + 1, n - 1) for b in range(n)}
         succ[0] = [n - 1, n]
-        (loop,) = loop_candidates(view)
-        assert loop.header == n - 1 and loop.back_edges == [(0, n - 1)]
-        assert loop.body == set(range(n))
-
-    def test_loop_candidates_on_the_rus_cfg(self, registry):
-        h = rus_cfg(registry)
-        view = CfgView.of(h, _cfg_node(h))
-        (loop,) = loop_candidates(view)
-        assert loop.header == view.entry
-        assert loop.body == set(view.blocks)
-        assert all(target == view.entry for _, target in loop.back_edges)
+        assert dominators(view) == {b: min(b + 1, n - 1) for b in range(n)}
 
 
 class TestReducibility:
@@ -674,3 +664,109 @@ class TestOneValidationPerStructureAll:
         assert len(calls) == (1 if k else 0)
         assert not [n for n in h.preorder() if isinstance(h.op(n), Cfg)]
         assert validate(h, registry) == []
+
+
+def _cfg_with_static_edges_into_its_blocks(registry):
+    """A loop whose entry block calls another function and whose second block
+    loads a constant defined beside the CFG: both static edges enter a block
+    from outside it."""
+    m = new_module(registry)
+    flip = m.define_function("flip", Signature((QUBIT,), (QUBIT,)))
+    flip.set_outputs(*flip.q("X", *flip.inputs()))
+    b = m.define_function("main", Signature((QUBIT,), (QUBIT,)))
+    (q,) = b.inputs()
+    angle = b.hugr.add_node(Const(0.7, F64), b.container)
+    (out,), cb = b.cfg((q,), (QUBIT,))
+    attempt, ab = cb.add_block((QUBIT,), 2, (QUBIT,))
+    (aq,) = ab.call(flip.container, *ab.inputs())
+    (a,) = ab.q("QAlloc")
+    a, flag = ab.q("Measure", *ab.q("H", a))
+    ab.q("QFree", a)
+    ab.set_outputs(flag, aq)
+    turn, tb = cb.add_block((QUBIT,), 1, (QUBIT,))
+    load = tb.hugr.add_node(LoadConst(F64), turn)
+    tb.hugr.connect(out_port(angle, 0), in_port(load, 0), Static(F64))
+    (tq,) = tb.q("Rz", *tb.inputs(), out_port(load, 0))
+    tb.set_outputs(tb.tag_const(0, 1), tq)
+    exit_ = cb.add_exit((QUBIT,))
+    cb.link(attempt, 0, turn)
+    cb.link(attempt, 1, exit_)
+    cb.link(turn, 0, attempt)
+    b.set_outputs(out)
+    return m.hugr
+
+
+def test_blocks_with_static_edges_from_outside_structure_and_run_alike(registry):
+    original = _cfg_with_static_edges_into_its_blocks(registry)
+    assert validate(original, registry) == []
+    structured = structure_all(original.copy(), registry)
+    assert validate(structured, registry) == []
+    assert not [n for n in structured.preorder() if isinstance(structured.op(n), Cfg)]
+    for length in range(1, 6):
+        for bits in range(1 << length):
+            script = [bool((bits >> i) & 1) for i in range(length)]
+            got = _run_qubit_program(structured, script, registry)
+            want = _run_qubit_program(original, script, registry)
+            assert got[0] == want[0], script
+            if want[1] is not None:
+                assert state_fidelity(got[1], want[1]) >= 1 - 1e-9, script
+
+
+class TestRollback:
+    """A structuring that fails after it has started to change the graph
+    leaves the graph exactly as it was."""
+
+    @staticmethod
+    def _failing_check(monkeypatch, fail_on_call: int):
+        import hugr_ir.build as build_mod
+        from hugr_ir.validate import Code, Diagnostic
+
+        calls, check = [], build_mod.validate_touched
+
+        def planted(h, region, touched, registry):
+            calls.append(region)
+            if len(calls) == fail_on_call:
+                return [Diagnostic(Code.InputPortUnwired, region, None, "planted fault")]
+            return check(h, region, touched, registry)
+
+        monkeypatch.setattr(build_mod, "validate_touched", planted)
+
+    def test_a_refused_check_leaves_the_graph_as_it_was(self, registry, monkeypatch):
+        h = rus_cfg(registry)
+        reference = encode(h)
+        self._failing_check(monkeypatch, 1)
+        with pytest.raises(StructuringError, match="planted fault"):
+            structure_cfg(h, _cfg_node(h), registry)
+        assert encode(h) == reference
+        assert hierarchy_faults(h) == []
+
+    def test_a_build_that_raises_midway_leaves_the_graph_as_it_was(self, registry,
+                                                                    monkeypatch):
+        import hugr_ir.structure as structure_mod
+
+        h = rus_cfg(registry)
+        reference = encode(h)
+        splices, splice = [], structure_mod.splice_region
+
+        def planted(*args):
+            splices.append(args)
+            if len(splices) == 2:
+                raise RuntimeError("planted")
+            return splice(*args)
+
+        monkeypatch.setattr(structure_mod, "splice_region", planted)
+        with pytest.raises(RuntimeError, match="planted"):
+            structure_cfg(h, _cfg_node(h), registry)
+        assert encode(h) == reference
+        assert hierarchy_faults(h) == []
+
+    def test_structure_all_keeps_the_cfgs_structured_before_the_failing_one(
+            self, registry, monkeypatch):
+        h = cfg_per_function(3, registry)
+        first, second, _ = [n for n in h.preorder() if isinstance(h.op(n), Cfg)]
+        expected = structure_cfg(h.copy(), first, registry)
+        self._failing_check(monkeypatch, 2)
+        with pytest.raises(StructuringError, match="planted fault"):
+            structure_all(h, registry)
+        assert encode(h) == encode(expected)
+        assert second in h and hierarchy_faults(h) == []

@@ -320,7 +320,7 @@ def test_an_orphan_node_is_reported(registry):
     from oracles import naive_validate
 
     h = all_programs(registry)["rotation_pipeline"]
-    orphan = h._next_id
+    orphan = h.next_id
     h._nodes[orphan] = Node(orphan, main_region(h), Case())  # in no children list
     diags = validate(h, registry)
     assert [d.render() for d in diags] == \
