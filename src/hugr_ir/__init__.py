@@ -73,8 +73,7 @@ _LAZY = {name: module for module, names in {
     "rewrite": ("Match", "Pattern", "RewriteDelta", "RewriteRule", "StaleMatch",
                 "ValidationFailed", "WouldCreateCycle", "apply", "find_matches", "saturate",
                 "undo", "wildcard"),
-    "structure": ("CfgView", "IrreducibleCfg", "dominators", "is_reducible", "structure_all",
-                  "structure_cfg"),
+    "structure": ("CfgView", "IrreducibleCfg", "is_reducible", "structure_all", "structure_cfg"),
 }.items() for name in (module, *names)}
 
 

@@ -2,30 +2,38 @@
 
 The algorithm is iterative T1/T2 region folding (Hecht & Ullman, *Flow Graph
 Reducibility*, 1972). Each basic block becomes a fragment computing
-``row -> successor tag + row``; T1 folds a self-loop into a tail loop (a tag
-subset means "repeat"), T2 inlines a block into its unique predecessor behind
-a conditional dispatch. A reducible graph collapses to a single fragment whose
+``row -> successor tag + row``; T1 folds a self-loop into a tail loop (the
+self edge's index means "repeat"), T2 inlines a block into its unique
+predecessor behind a conditional dispatch. A reducible graph collapses to a single fragment whose
 remaining exits all target the exit block; the fragment is then materialised
 in place of the CFG node. Irreducible inputs (a cycle with more than one
 entry) are rejected without touching the graph.
+
+Every supernode starts from its block's distinct successors, and keeps them
+distinct: a dispatch has one case per distinct successor, so each reachable
+block is spliced exactly once and the output is linear in the reachable
+blocks, however many tags share a target and whatever the node ids. A block
+maps its own tags onto its distinct successors.
 
 The fold order decides the fragment tree, and so the output bytes: while any
 supernode has a self-loop, T1 folds the lowest such id; otherwise T2 merges
 the lowest non-entry id with exactly one predecessor. The entry is never
 merged away.
 
-Materialising pushes each successor-tag map down to where the tag is made.
-A tag of arity 1 is a constant, never a wire; a dispatch composes the map
-into its cases, whose exits become the mapped constants; only a measured
-block's tag can need a conditional of its own to map it; and a loop with one
-exit uses its body's tag, with 1 for leaving, as the ``TailLoop`` flag. The
-sweep afterwards removes only unused constants the structuring made (block
-tags it no longer needs).
+Materialising pushes each successor-tag map down to where the tag is made. A
+tag of arity 1 is a constant, never a wire, so a block whose tags all go to
+one successor needs no tag at all; a dispatch composes the map into its cases,
+whose exits become the mapped constants; only a measured block's tag can need
+a conditional of its own to map it; and a loop with one exit uses its body's
+tag, with 1 for leaving, as the ``TailLoop`` flag. The sweep afterwards
+removes only unused constants the structuring made (block tags it no longer
+needs).
 
 Blocks must be row-preserving (inputs equal the passed row) whenever any
 dispatch or loop needs to be built, because the payload-free successor tags
-force every merged path to carry one common value row. Straight-line CFGs
-are inlined without that restriction.
+force every merged path to carry one common value row. Straight-line CFGs,
+branches whose tags all go to one block included, are inlined without that
+restriction.
 
 Structuring a CFG is one checked replacement (:func:`~hugr_ir.build.replace`,
 as ``rewrite.apply`` is): the structured nodes are built beside the CFG, the
@@ -119,54 +127,6 @@ def _predecessors(view: CfgView) -> dict[int, set[int]]:
     return preds
 
 
-def dominators(view: CfgView) -> dict[int, int]:
-    """Immediate dominators; the entry maps to itself."""
-    preds = _predecessors(view)
-    # reverse postorder of a depth-first walk taking successors in tag order
-    order: list[int] = []
-    seen = {view.entry}
-    stack = [(view.entry, iter(view.succ[view.entry]))]
-    while stack:
-        b, succs = stack[-1]
-        for s in succs:
-            if s != view.exit and s not in seen:
-                seen.add(s)
-                stack.append((s, iter(view.succ[s])))
-                break
-        else:
-            stack.pop()
-            order.append(b)
-    rpo = list(reversed(order))
-    position = {b: i for i, b in enumerate(rpo)}
-
-    idom: dict[int, int] = {view.entry: view.entry}
-    changed = True
-    while changed:
-        changed = False
-        for b in rpo:
-            if b == view.entry:
-                continue
-            candidates = [p for p in preds[b] if p in idom]
-            if not candidates:
-                continue
-            new = candidates[0]
-            for p in candidates[1:]:
-                new = _intersect(new, p, idom, position)
-            if idom.get(b) != new:
-                idom[b] = new
-                changed = True
-    return idom
-
-
-def _intersect(a: int, b: int, idom: dict[int, int], pos: dict[int, int]) -> int:
-    while a != b:
-        while pos[a] > pos[b]:
-            a = idom[a]
-        while pos[b] > pos[a]:
-            b = idom[b]
-    return a
-
-
 def is_reducible(view: CfgView) -> bool:
     """True iff iterative T1/T2 reduction collapses the graph to one node."""
     return len(_fold(view)[0]) == 1
@@ -177,7 +137,8 @@ def is_reducible(view: CfgView) -> bool:
 @dataclass
 class _Block:
     block: int
-    arity: int
+    arity: int  # distinct successors
+    retag: tuple[int, ...]  # per block tag: the index of its successor
 
 
 @dataclass
@@ -194,14 +155,13 @@ class _Run:
 @dataclass
 class _Seq:
     first: "Frag"
-    cases: tuple  # per tag of ``first``: _Exit or _Run
+    cases: tuple  # per successor of ``first``: _Exit or _Run
     arity: int
 
 
 @dataclass
 class _Loop:
     body: "Frag"
-    repeat: frozenset  # tags of ``body`` that continue the loop
     retag: tuple  # per body tag: None (repeat) or the exit tag
     arity: int
 
@@ -214,9 +174,8 @@ class _SuperNode:
     frag: Frag
     succs: list[int]  # block ids; the exit block id marks leaving the CFG
     # an upper bound on the nesting depth of the conditionals and loops
-    # ``_emit`` builds for ``frag``: it still counts every tag map as a
-    # conditional, so the recursion guard and the row-preserving rule (for a
-    # nonzero depth) accept and refuse the same CFGs as when each map was one
+    # ``_emit`` builds for ``frag``, counting every tag map as a conditional;
+    # a nonzero depth needs row-preserving blocks
     depth: int = 0
 
 
@@ -229,7 +188,11 @@ def _fold(view: CfgView) -> tuple[dict[int, _SuperNode], UnsupportedCfg | None]:
     date fold by fold, and two lazy min-heaps hold the ids that may have
     become T1 or T2 candidates since they were last looked at.
     """
-    nodes = {b: _SuperNode(_Block(b, len(ss)), list(ss)) for b, ss in view.succ.items()}
+    nodes = {}
+    for b, ss in view.succ.items():
+        targets = list(dict.fromkeys(ss))  # every supernode's successors are distinct
+        index = {t: i for i, t in enumerate(targets)}
+        nodes[b] = _SuperNode(_Block(b, len(targets), tuple(index[t] for t in ss)), targets)
     preds = _predecessors(view)
     loops = [b for b in nodes if b in preds[b]]
     unique = [b for b in nodes if len(preds[b]) == 1]
@@ -242,13 +205,12 @@ def _fold(view: CfgView) -> tuple[dict[int, _SuperNode], UnsupportedCfg | None]:
         if loops:  # T1
             sid = heapq.heappop(loops)
             sn = nodes[sid]
-            targets = list(dict.fromkeys(t for t in sn.succs if t != sid))
+            targets = [t for t in sn.succs if t != sid]
             if not targets and exitless is None:
                 exitless = UnsupportedCfg(f"block {sid} loops forever with no exit")
             index = {t: i for i, t in enumerate(targets)}
-            repeat = frozenset(j for j, t in enumerate(sn.succs) if t == sid)
             retag = tuple(None if t == sid else index[t] for t in sn.succs)
-            sn.frag = _Loop(sn.frag, repeat, retag, len(targets))
+            sn.frag = _Loop(sn.frag, retag, len(targets))
             sn.succs = targets
             sn.depth = 1 + max(sn.depth, 1)  # the body and the exit conditional
             preds[sid].discard(sid)
@@ -280,7 +242,7 @@ def _fold(view: CfgView) -> tuple[dict[int, _SuperNode], UnsupportedCfg | None]:
         p.frag = _Seq(p.frag, tuple(run if t == sid else _Exit(index[t]) for t in p.succs),
                       len(targets))
         p.succs = targets
-        for t in dict.fromkeys(s.succs):
+        for t in s.succs:
             if t != view.exit:
                 preds[t].discard(sid)
                 preds[t].add(pid)
@@ -311,6 +273,8 @@ def _emit(frag: Frag, b: DfBuilder, src: Hugr, wires, row: tuple[Type, ...],
     - an arity-1 tag is a constant, never a wire: for ``n == 1`` the tag is
       ``None`` and conditionals leave it out of their rows, and a fragment
       with one successor asked for ``n > 1`` is followed by ``tag_const``;
+    - a block's tags are first mapped onto its distinct successors
+      (``_Block.retag``), so tags that share a successor share a case;
     - a dispatch composes the map into its cases, so an ``_Exit`` case makes
       the mapped constant and a ``_Run`` case is built with the composed map;
     - only a measured block's tag can need a ``_retag`` conditional, and only
@@ -333,6 +297,7 @@ def _emit(frag: Frag, b: DfBuilder, src: Hugr, wires, row: tuple[Type, ...],
         if isinstance(f, _Block):
             outs = splice_region(b, src, f.block, vals)
             tag, vals = outs[0], tuple(outs[1:])
+            rt = tuple(rt[j] for j in f.retag)
             if k == 1:
                 tag = None
             elif len(set(rt)) == 1:

@@ -396,58 +396,17 @@ def _naive_finalise(pattern: Pattern, h: Hugr, region: int,
     return Match(pattern, region, dict(mapping), tuple(sources))
 
 
-def removal_dominators(view: CfgView) -> dict[int, set[int]]:
-    """Dominator sets by the removal definition: a dominates b iff deleting a
-    disconnects b from the entry."""
-    blocks = [b for b in view.blocks]
-
-    def reachable_without(removed: int | None) -> set[int]:
-        if view.entry == removed:
-            return set()
-        seen = {view.entry}
-        frontier = [view.entry]
-        while frontier:
-            n = frontier.pop()
-            for s in view.succ.get(n, []):
-                if s == view.exit or s == removed or s in seen:
-                    continue
-                seen.add(s)
-                frontier.append(s)
-        return seen
-
-    doms: dict[int, set[int]] = {}
-    for b in blocks:
-        doms[b] = {b}
-        for a in blocks:
-            if a != b and b not in reachable_without(a):
-                doms[b].add(a)
-    return doms
-
-
-def removal_idom(view: CfgView) -> dict[int, int]:
-    doms = removal_dominators(view)
-    idom = {view.entry: view.entry}
-    for b in view.blocks:
-        if b == view.entry:
-            continue
-        strict = doms[b] - {b}
-        # the immediate dominator is the strict dominator dominated by all others
-        for d in strict:
-            if doms[d] == strict:
-                idom[b] = d
-                break
-    return idom
-
-
 # ── structuring before the incremental fold ────────────────────────
 #
 # ``naive_is_reducible``, ``naive_reduce``, ``_naive_needs_dispatch``,
 # ``_naive_emit`` and ``naive_structure_cfg`` / ``naive_structure_all`` are the
 # two full-rescan T1/T2 loops and the recursive emission, kept verbatim apart
-# from their names. Each fold rescans every supernode's predecessors. The
-# emission builds every successor-tag map as a conditional of its own, and
-# ``_naive_sweep_dead_consts`` is the sweep of that time: every unused
-# constant in the CFG's parent region goes, the input's own included.
+# from their names and the fragment fields: blocks carry the identity retag
+# (one successor per tag, repeated targets included), and a loop's repeat tags
+# are the ``None`` entries of its retag. Each fold rescans every supernode's
+# predecessors. The emission builds every successor-tag map as a conditional of
+# its own, and ``_naive_sweep_dead_consts`` is the sweep of that time: every
+# unused constant in the CFG's parent region goes, the input's own included.
 
 
 def naive_is_reducible(view: CfgView) -> bool:
@@ -482,7 +441,8 @@ def naive_is_reducible(view: CfgView) -> bool:
 
 def naive_reduce(view: CfgView) -> Frag:
     nodes: dict[int, _SuperNode] = {
-        b: _SuperNode(_Block(b, len(view.succ[b])), list(view.succ[b]))
+        b: _SuperNode(_Block(b, len(view.succ[b]), tuple(range(len(view.succ[b])))),
+                      list(view.succ[b]))
         for b in view.succ
     }
     exit_ = view.exit
@@ -500,7 +460,7 @@ def naive_reduce(view: CfgView) -> Frag:
             retag = []
             for j, t in enumerate(sn.succs):
                 retag.append(None if j in repeat else targets.index(t))
-            sn.frag = _Loop(sn.frag, repeat, tuple(retag), len(targets))
+            sn.frag = _Loop(sn.frag, tuple(retag), len(targets))
             sn.succs = targets
             return True
         return False
@@ -549,6 +509,8 @@ def naive_reduce(view: CfgView) -> Frag:
 def _naive_emit(frag: Frag, b: DfBuilder, src: Hugr, wires, row: tuple[Type, ...]):
     """Build ``frag`` into builder ``b``; returns (tag wire, value wires)."""
     if isinstance(frag, _Block):
+        # a block tag per successor: the old fold's fragments, or distinct successors
+        assert frag.retag == tuple(range(frag.arity)), frag
         outs = splice_region(b, src, frag.block, tuple(wires))
         return outs[0], tuple(outs[1:])
 
@@ -592,7 +554,7 @@ def _naive_emit(frag: Frag, b: DfBuilder, src: Hugr, wires, row: tuple[Type, ...
         cond_outs, cases = body.conditional(tag, vals, out_row)
         for j, cb in enumerate(cases):
             cins = cb.inputs()
-            if j in frag.repeat:
+            if frag.retag[j] is None:
                 cb.set_outputs(cb.bool_const(False), cb.tag_const(0, frag.arity), *cins)
             else:
                 cb.set_outputs(cb.bool_const(True),

@@ -214,6 +214,16 @@ def test_structure_long_chain(registry, tmp_path, capsys):
     assert "CFG" not in [n["op"]["kind"] for n in json.loads(out_path.read_text())["nodes"]]
 
 
+def test_structure_double_branch_chain_against_the_flow(registry, tmp_path, capsys):
+    k = 12  # each block sends both tags to the next; ids run against the flow
+    src = tmp_path / "chain.hugr.json"
+    src.write_text(encode(successor_cfg([[i + 1, i + 1] for i in range(k - 1)] + [[-1, -1]],
+                                        registry, [0] + list(range(k - 1, 0, -1)))))
+    out_path = tmp_path / "out.hugr.json"
+    assert main(["structure", str(src), "-o", str(out_path)]) == 0
+    assert len(json.loads(out_path.read_text())["nodes"]) <= k + 4
+
+
 def test_structure_too_deep_reports_and_writes_nothing(registry, tmp_path, capsys):
     k = 600  # nested while loops
     src = tmp_path / "deep.hugr.json"
