@@ -114,13 +114,17 @@ class DfBuilder:
 
     def add(self, op: OpKind, *args: Wire) -> tuple[Wire, ...]:
         """Append ``op`` and wire ``args`` to its value inputs, in order."""
+        return self._add(op, args)[1]
+
+    def _add(self, op: OpKind, args: tuple[Wire, ...]) -> tuple[int, tuple[Wire, ...]]:
+        """:meth:`add` that also returns the new node."""
         sig = value_signature(op)
         if len(args) != len(sig.inputs):
             raise BuildError(f"{op!r} takes {len(sig.inputs)} inputs, got {len(args)}")
         node = self.hugr.add_node(op, self.container)
         for i, w in enumerate(args):
             self.connect(w, in_port(node, i))
-        return tuple(out_port(node, i) for i in range(len(sig.outputs)))
+        return node, tuple(out_port(node, i) for i in range(len(sig.outputs)))
 
     def ext(self, ext_id: str, name: str, *args: Wire,
             type_args: tuple[Type, ...] = ()) -> tuple[Wire, ...]:
@@ -163,13 +167,9 @@ class DfBuilder:
     def call(self, func_node: int, *args: Wire,
              type_args: tuple[Type, ...] = ()) -> tuple[Wire, ...]:
         src, scheme = self._static_source(func_node)
-        op = Call(tuple(type_args), scheme)
-        sig = value_signature(op)
-        node = self.hugr.add_node(op, self.container)
-        for i, w in enumerate(args):
-            self.connect(w, in_port(node, i))
-        self.hugr.connect(src, in_port(node, len(sig.inputs)), Static(scheme))
-        return tuple(out_port(node, i) for i in range(len(sig.outputs)))
+        node, outs = self._add(Call(tuple(type_args), scheme), args)
+        self.hugr.connect(src, in_port(node, len(args)), Static(scheme))
+        return outs
 
     def load_function(self, func_node: int,
                       type_args: tuple[Type, ...] = ()) -> Wire:
@@ -188,39 +188,25 @@ class DfBuilder:
         if not isinstance(disc_ty, EnumType):
             raise BuildError(f"discriminant must be an enum, got {disc_ty!r}")
         other_types = tuple(self.wire_kind(w).type for w in others)
-        op = Conditional(disc_ty.cardinality, other_types, tuple(outputs))
-        node = self.hugr.add_node(op, self.container)
-        self.connect(disc, in_port(node, 0))
-        for i, w in enumerate(others):
-            self.connect(w, in_port(node, i + 1))
-        cases = []
-        for _ in range(op.cardinality):
-            case = self.hugr.add_node(Case(), node)
-            cases.append(DfBuilder.create(self.hugr, case, self.registry,
-                                          other_types, tuple(outputs)))
-        outs = tuple(out_port(node, i) for i in range(len(outputs)))
+        node, outs = self._add(Conditional(disc_ty.cardinality, other_types, tuple(outputs)),
+                               (disc, *others))
+        cases = [DfBuilder.create(self.hugr, self.hugr.add_node(Case(), node), self.registry,
+                                  other_types, tuple(outputs))
+                 for _ in range(disc_ty.cardinality)]
         return outs, cases
 
     def tail_loop(self, init: tuple[Wire, ...]
                   ) -> tuple[tuple[Wire, ...], "DfBuilder"]:
         """A tail loop seeded with ``init``; body outputs (flag, loop vars)."""
         loop_vars = tuple(self.wire_kind(w).type for w in init)
-        node = self.hugr.add_node(TailLoop(loop_vars), self.container)
-        for i, w in enumerate(init):
-            self.connect(w, in_port(node, i))
-        body = DfBuilder.create(self.hugr, node, self.registry,
-                                loop_vars, (EnumType(2),) + loop_vars)
-        outs = tuple(out_port(node, i) for i in range(len(loop_vars)))
-        return outs, body
+        node, outs = self._add(TailLoop(loop_vars), init)
+        return outs, DfBuilder.create(self.hugr, node, self.registry,
+                                      loop_vars, (EnumType(2),) + loop_vars)
 
     def cfg(self, args: tuple[Wire, ...], output_types: tuple[Type, ...]
             ) -> tuple[tuple[Wire, ...], "CfgBuilder"]:
         in_types = tuple(self.wire_kind(w).type for w in args)
-        sig = Signature(in_types, tuple(output_types))
-        node = self.hugr.add_node(Cfg(sig), self.container)
-        for i, w in enumerate(args):
-            self.connect(w, in_port(node, i))
-        outs = tuple(out_port(node, i) for i in range(len(output_types)))
+        node, outs = self._add(Cfg(Signature(in_types, tuple(output_types))), args)
         return outs, CfgBuilder(self.hugr, node, self.registry)
 
 
@@ -256,11 +242,14 @@ def splice_region(dst: DfBuilder, src: Hugr, src_region: int,
     """Copy the body of ``src_region`` into ``dst``'s container.
 
     The source region's Input node is replaced by ``input_wires``; the wires
-    feeding its Output node are returned. Nested containers are copied whole.
-    When ``src`` is ``dst``'s graph, a static edge into the region from
-    outside it (a ``Call`` of another function, a ``LoadConst`` of an outer
-    ``Const``) is copied from the same source; from another graph it is left
-    out, so the copy fails validation.
+    feeding its Output node are returned. Nested containers are copied whole,
+    with every edge kind inside them: value, static, and a nested CFG's
+    control-flow edges. When ``src`` is ``dst``'s graph, a static edge into
+    the region from outside it (a ``Call`` of another function, a
+    ``LoadConst`` of an outer ``Const``) is copied from the same source; from
+    another graph it is left out, so the copy fails validation. Edges are
+    copied destination by destination, so a copied node's fan-out list
+    follows the order of its destinations.
     """
     children = src.children(src_region)
     if len(children) < 2:
@@ -280,29 +269,23 @@ def splice_region(dst: DfBuilder, src: Hugr, src_region: int,
     for child in children[2:]:
         copy_subtree(child, dst.container)
 
-    copied = set(mapping)
     out_wires: dict[int, Wire] = {}
-    for old in src.preorder(src_region):
-        nd = src.node(old)
-        for edges in nd.out_edges:
+    for old, new in [*mapping.items(), (src_output, None)]:
+        for edges in src.node(old).in_edges:
             for e in edges:
                 if e.src.node == src_input:
                     new_src = input_wires[e.src.offset]
-                elif e.src.node in copied:
+                elif e.src.node in mapping:
                     new_src = out_port(mapping[e.src.node], e.src.offset)
+                elif src is dst.hugr and new is not None:  # from outside the region
+                    new_src = e.src
                 else:
                     continue
-                if e.dst.node == src_output:
+                if new is None:
                     out_wires[e.dst.offset] = new_src
-                elif e.dst.node in copied:
-                    kind = e.kind if isinstance(e.kind, Static) else dst.wire_kind(new_src)
-                    dst.hugr.connect(new_src, in_port(mapping[e.dst.node], e.dst.offset), kind)
-    if src is dst.hugr:  # static edges into the region from outside it
-        for old, new in mapping.items():
-            for edges in src.node(old).in_edges:
-                for e in edges:
-                    if e.src.node not in copied and e.src.node != src_input:
-                        dst.hugr.connect(e.src, in_port(new, e.dst.offset), e.kind)
+                else:
+                    kind = dst.wire_kind(new_src) if isinstance(e.kind, Value) else e.kind
+                    dst.hugr.connect(new_src, in_port(new, e.dst.offset), kind)
 
     n_out = len(value_signature(src.op(src_output)).inputs)
     missing = [i for i in range(n_out) if i not in out_wires]
@@ -351,7 +334,7 @@ def replace(h: Hugr, region: int, old: list[int], outputs: list[Port],
                 edge = builder.connect(wire, dst)
                 if wire.node < watermark:  # between two old nodes
                     added_edges.append(edge)
-        added = [n for n in range(watermark, h.next_id) if h.parent(n) == region]
+        added = [n for n in range(watermark, h.next_id) if n in h and h.parent(n) == region]
         touched = {*added, *(w.node for w in inputs),
                    *(dst.node for ports in consumers for dst in ports)}
         diags = validate_touched(h, region, touched, registry)

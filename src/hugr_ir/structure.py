@@ -25,9 +25,10 @@ tag of arity 1 is a constant, never a wire, so a block whose tags all go to
 one successor needs no tag at all; a dispatch composes the map into its cases,
 whose exits become the mapped constants; only a measured block's tag can need
 a conditional of its own to map it; and a loop with one exit uses its body's
-tag, with 1 for leaving, as the ``TailLoop`` flag. The sweep afterwards
-removes only unused constants the structuring made (block tags it no longer
-needs).
+tag, with 1 for leaving, as the ``TailLoop`` flag. Where a block's own tag
+goes unread, the ``LoadConst`` that made it is removed as soon as the block
+is spliced, and so is its ``Const`` if nothing else reads it. Nothing else is
+removed: a block's other constants stay, used or not.
 
 Blocks must be row-preserving (inputs equal the passed row) whenever any
 dispatch or loop needs to be built, because the payload-free successor tags
@@ -40,10 +41,9 @@ as ``rewrite.apply`` is): the structured nodes are built beside the CFG, the
 CFG's consumers move onto them, the CFG goes, and only the nodes added and
 the CFG's neighbours are checked. If the check fails, the graph is restored
 exactly and :class:`StructuringError` is raised; an exception from the build
-restores it too, so a refused CFG is left as it was. The sweep runs only
-after a successful replacement, since removing unused constants cannot
-invalidate a region. :func:`structure_all` validates its input once, and
-every later CFG still sees its diagnostics.
+restores it too, so a refused CFG is left as it was. Nothing is removed
+after the check. :func:`structure_all` validates its input once, and every
+later CFG still sees its diagnostics.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ import warnings
 from dataclasses import dataclass
 
 from .build import DfBuilder, replace, splice_region
-from .graph import Hugr, in_port, out_port
+from .graph import Hugr, Port, in_port, out_port
 from .ops import BasicBlock, Cfg, ExitBlock, LoadConst, Registry
 from .types import BOOL, EnumType, Type
 
@@ -295,13 +295,13 @@ def _emit(frag: Frag, b: DfBuilder, src: Hugr, wires, row: tuple[Type, ...],
             todo.append((_Exit(0), rt, k))  # build it untagged, then the constant
             rt, k = (0,), 1
         if isinstance(f, _Block):
+            made = b.hugr.next_id
             outs = splice_region(b, src, f.block, vals)
             tag, vals = outs[0], tuple(outs[1:])
             rt = tuple(rt[j] for j in f.retag)
-            if k == 1:
-                tag = None
-            elif len(set(rt)) == 1:
-                tag = b.tag_const(rt[0], k)
+            if len(set(rt)) == 1:  # the block's own tag goes unread
+                _drop_unread_load(b.hugr, tag, vals, made)
+                tag = b.tag_const(rt[0], k) if k > 1 else None
             elif rt != tuple(range(k)):
                 tag, vals = _retag(b, tag, vals, rt, k, row)
         elif isinstance(f, _Exit):
@@ -355,18 +355,18 @@ def _retag(b: DfBuilder, tag, vals, retag: tuple[int, ...], arity: int,
     return outs[0], tuple(outs[1:])
 
 
-def _sweep_dead_consts(h: Hugr, added: list[int]) -> None:
-    """Remove the unused ``LoadConst`` nodes in the subtrees of ``added``, then
-    the ``Const`` nodes there that are left unused."""
-    made = {n for a in added for n in h.preorder(a)}
-    fed = []
-    for n in made:
-        if isinstance(h.op(n), LoadConst) and not any(h.node(n).out_edges):
-            fed.extend(p.node for p in h.neighbours(in_port(n, 0)))
-            h.remove_node(n)
-    for c in fed:
-        if c in made and c in h and not any(h.node(c).out_edges):
-            h.remove_node(c)
+def _drop_unread_load(h: Hugr, wire: Port, vals: tuple[Port, ...], made: int) -> None:
+    """Remove the ``LoadConst`` behind ``wire`` if nothing reads it, ``vals``
+    included, then its ``Const`` if that is left unread. Only nodes with ids
+    from ``made`` on, the ones the last splice made, are removed."""
+    load = wire.node
+    nd = h.node(load)
+    if load < made or wire in vals or not isinstance(nd.op, LoadConst) or any(nd.out_edges):
+        return
+    (const,) = h.neighbours(in_port(load, 0))  # the CFG validated
+    h.remove_node(load)
+    if const.node >= made and not any(h.node(const.node).out_edges):
+        h.remove_node(const.node)
 
 
 def structure_cfg(h: Hugr, cfg: int, registry: Registry) -> Hugr:
@@ -412,11 +412,9 @@ def _structure(h: Hugr, cfg: int, registry: Registry, diags: list) -> Hugr:
 
     in_wires = tuple(h.neighbours(in_port(cfg, i))[0] for i in range(len(row)))
     outputs = [out_port(cfg, i) for i in range(len(op.signature.outputs))]
-    _, added, _ = replace(
-        h, parent, [cfg], outputs, in_wires,
-        lambda b, ins: _emit(folded.frag, b, h, ins, row, (0,) * folded.frag.arity, 1)[1],
-        registry, lambda msg: StructuringError(f"structuring produced an invalid region: {msg}"))
-    _sweep_dead_consts(h, added)
+    replace(h, parent, [cfg], outputs, in_wires,
+            lambda b, ins: _emit(folded.frag, b, h, ins, row, (0,) * folded.frag.arity, 1)[1],
+            registry, lambda msg: StructuringError(f"structuring produced an invalid region: {msg}"))
     return h
 
 

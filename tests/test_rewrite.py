@@ -4,17 +4,21 @@ import numpy as np
 import pytest
 
 from hugr_ir import (
+    Cfg,
+    Interpreter,
+    Scripted,
     Value,
     encode,
     ext_op,
     in_port,
     out_port,
+    state_fidelity,
     stdlib,
     unitary_fidelity,
     unitary_of,
     validate,
 )
-from hugr_ir.build import new_module
+from hugr_ir.build import ModuleBuilder, new_module, splice_region
 from hugr_ir.rewrite import (
     MatchStats,
     Pattern,
@@ -355,3 +359,52 @@ def test_edges_reuse_the_kind_of_their_source_port(registry):
     for e in h.all_edges():
         if isinstance(e.kind, Value):
             assert e.kind is h.port_kind(e.src)
+
+
+def _cfg_fragment(registry, name: str):
+    """A module whose function ``name`` holds a one-block CFG that applies X."""
+    m = new_module(registry)
+    b = m.define_function(name, Signature((QUBIT,), (QUBIT,)))
+    (out,), cb = b.cfg(b.inputs(), (QUBIT,))
+    blk, body = cb.add_block((QUBIT,), 1, (QUBIT,))
+    body.set_outputs(body.tag_const(0, 1), *body.q("X", *body.inputs()))
+    cb.link(blk, 0, cb.add_exit((QUBIT,)))
+    b.set_outputs(out)
+    return m.hugr
+
+
+def _cfgs(h):
+    return [n for n in h.preorder() if isinstance(h.op(n), Cfg)]
+
+
+def _state_after(h, entry, registry):
+    """The one-qubit state ``entry`` leaves from |0>; runs CFGs, which
+    ``unitary_of`` refuses."""
+    it = Interpreter(h, registry, Scripted([]))
+    return it.state.statevector(it.run(entry, [it.state.alloc()]))
+
+
+class TestSpliceNestedCfg:
+    """A nested CFG is copied whole, its control-flow edges included."""
+
+    def test_a_rule_whose_rhs_holds_a_cfg_applies(self, registry):
+        rule = RewriteRule(hh_cancel(registry).lhs, _cfg_fragment(registry, "fragment"),
+                           "hh_to_cfg")
+        h = chain_circuit(["H", "T", "H", "H", "Tdg"], registry)
+        want = _state_after(chain_circuit(["H", "T", "X", "Tdg"], registry), "main", registry)
+        _, applied = saturate([rule], h, 10, registry)
+        assert [name for name, _ in applied] == ["hh_to_cfg"]
+        assert validate(h, registry) == []
+        assert len(_cfgs(h)) == 1
+        assert state_fidelity(_state_after(h, "main", registry), want) >= 1 - 1e-9
+
+    @pytest.mark.parametrize("same_graph", [False, True])
+    def test_a_function_body_holding_a_cfg_validates(self, registry, same_graph):
+        src = _cfg_fragment(registry, "inner")
+        dst = ModuleBuilder(src, registry) if same_graph else new_module(registry)
+        b = dst.define_function("copy", Signature((QUBIT,), (QUBIT,)))
+        b.set_outputs(*splice_region(b, src, src.children(src.root)[0], b.inputs()))
+        assert validate(dst.hugr, registry) == []
+        assert len(_cfgs(dst.hugr)) == (2 if same_graph else 1)
+        want = _state_after(chain_circuit(["X"], registry), "main", registry)
+        assert state_fidelity(_state_after(dst.hugr, "copy", registry), want) >= 1 - 1e-9

@@ -822,3 +822,89 @@ class TestRollback:
             structure_all(h, registry)
         assert encode(h) == encode(expected)
         assert second in h and hierarchy_faults(h) == []
+
+
+def _constant_nodes(h):
+    return [n for n in h.preorder() if isinstance(h.op(n), (Const, LoadConst))]
+
+
+def test_a_blocks_unused_constant_is_kept(registry):
+    # only the block's tag, which structuring leaves unread, goes with its Const
+    m = new_module(registry)
+    b = m.define_function("main", Signature((QUBIT,), (QUBIT,)))
+    (out,), cb = b.cfg(b.inputs(), (QUBIT,))
+    blk, body = cb.add_block((QUBIT,), 1, (QUBIT,))
+    body.const(0.5, F64)  # read by nothing
+    body.set_outputs(body.tag_const(0, 1), *body.q("H", *body.inputs()))
+    cb.link(blk, 0, cb.add_exit((QUBIT,)))
+    b.set_outputs(out)
+    original = m.hugr
+    assert validate(original, registry) == []
+    structured = structure_all(original.copy(), registry)
+    _check_against_cfg(structured, original, registry)
+    assert len(_constant_nodes(original)) == 4
+    kept = _constant_nodes(structured)
+    assert len(kept) == 2
+    assert [structured.op(n).value for n in kept if isinstance(structured.op(n), Const)] == [0.5]
+
+
+def _shared_const(body, x):
+    c = body.bool_const(True)
+    return c, c
+
+
+def _forwarded(body, x):
+    return x, x
+
+
+def _const_then_forwarded(body, x):
+    return body.tag_const(1, 2), body.bool_const(True)
+
+
+def _forwarded_then_const(body, x):
+    return x, body.bool_const(False)
+
+
+def _tag_from_outside(body, x):
+    h = body.hugr
+    const = h.add_node(Const(1, BOOL), h.parent(h.parent(body.container)))  # beside the CFG
+    load = h.add_node(LoadConst(BOOL), body.container)
+    h.connect(out_port(const, 0), in_port(load, 0), Static(BOOL))
+    return out_port(load, 0), x
+
+
+@pytest.mark.parametrize("entry, then, constants", [
+    # the entry's one constant is its tag and its value: the tag is read
+    (_shared_const, _forwarded, 2),
+    # the second block's tag is the entry's value, made by an earlier splice:
+    # only the entry's own tag constant goes
+    (_const_then_forwarded, _forwarded_then_const, 4),
+    # the entry's tag loads a Const from outside the block, which stays
+    (_tag_from_outside, _forwarded, 1),
+])
+def test_an_unread_tag_is_dropped_only_where_nothing_else_reads_it(registry, entry, then,
+                                                                     constants):
+    # two blocks, each sending both of its tags to one block
+    m = new_module(registry)
+    b = m.define_function("main", Signature((BOOL,), (BOOL,)))
+    (out,), cb = b.cfg(b.inputs(), (BOOL,))
+    blocks = []
+    for outputs in (entry, then):
+        node, body = cb.add_block((BOOL,), 2, (BOOL,))
+        body.set_outputs(*outputs(body, *body.inputs()))
+        blocks.append(node)
+    blocks.append(cb.add_exit((BOOL,)))
+    for src, dst in zip(blocks, blocks[1:]):
+        cb.link(src, 0, dst)
+        cb.link(src, 1, dst)
+    b.set_outputs(out)
+    original = m.hugr
+    assert validate(original, registry) == []
+    structured = structure_all(original.copy(), registry)
+    assert validate(structured, registry) == []
+    assert not [n for n in structured.preorder() if isinstance(structured.op(n), Cfg)]
+    assert len(_constant_nodes(structured)) == constants
+    for x in (False, True):
+        got = Interpreter(structured, registry, Scripted([])).run("main", [bool_value(x)])
+        want = Interpreter(original, registry, Scripted([])).run("main", [bool_value(x)])
+        assert got == want, x
