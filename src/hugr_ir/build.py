@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .graph import Edge, Hugr, Port, RemovedSubtree, in_port, out_port
+from .graph import Edge, GraphError, Hugr, Port, RemovedSubtree, in_port, out_port
 from .ops import (
     BasicBlock,
     Call,
@@ -249,7 +249,9 @@ def splice_region(dst: DfBuilder, src: Hugr, src_region: int,
     ``LoadConst`` of an outer ``Const``) is copied from the same source; from
     another graph it is left out, so the copy fails validation. Edges are
     copied destination by destination, so a copied node's fan-out list
-    follows the order of its destinations.
+    follows the order of its destinations. A source Input row of another
+    length than ``input_wires``, or two copied edges joining the same two
+    ports, raise :class:`BuildError`.
     """
     children = src.children(src_region)
     if len(children) < 2:
@@ -257,6 +259,9 @@ def splice_region(dst: DfBuilder, src: Hugr, src_region: int,
     src_input, src_output = children[0], children[1]
     if not isinstance(src.op(src_input), Input) or not isinstance(src.op(src_output), Output):
         raise BuildError(f"region {src_region} has no Input/Output pair")
+    n_in = len(src.op(src_input).types)
+    if n_in != len(input_wires):
+        raise BuildError(f"region {src_region} takes {n_in} inputs, got {len(input_wires)}")
 
     mapping: dict[int, int] = {}
 
@@ -285,7 +290,10 @@ def splice_region(dst: DfBuilder, src: Hugr, src_region: int,
                     out_wires[e.dst.offset] = new_src
                 else:
                     kind = dst.wire_kind(new_src) if isinstance(e.kind, Value) else e.kind
-                    dst.hugr.connect(new_src, in_port(new, e.dst.offset), kind)
+                    try:
+                        dst.hugr.connect(new_src, in_port(new, e.dst.offset), kind)
+                    except GraphError as exc:  # two copied edges joined the same ports
+                        raise BuildError(str(exc)) from exc
 
     n_out = len(value_signature(src.op(src_output)).inputs)
     missing = [i for i in range(n_out) if i not in out_wires]

@@ -28,12 +28,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import inf
 
 from .build import BuildError, DfBuilder, replace, revert, splice_region
 from .graph import Hugr, Port, RemovedSubtree, in_port, out_port, region_order
-from .ops import ExtensionOp, FuncDef, OpKind, Registry, Value, value_signature
+from .ops import ExtensionOp, FuncDef, Input, OpKind, Output, Registry, Value, value_signature
 from .types import Signature
 from .validate import dataflow_regions
 
@@ -77,58 +76,23 @@ class Pattern:
 
     The fragment is the body of the single function in ``hugr``; its Input
     and Output rows are the pattern's boundary. Inner nodes are extension
-    ops (exact match) or wildcards (signature match).
+    ops (exact match) or wildcards (signature match). The fragment is checked
+    and compiled into :attr:`program` when the pattern is made, in one pass
+    (see :func:`_compile`); a malformed one raises :class:`RewriteError`.
     """
 
     hugr: Hugr
     anchor: int
+    program: _Program = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        region = fragment_region(self.hugr)
-        inner = self.inner_nodes()
-        if not inner:
-            raise RewriteError("pattern fragment has no inner nodes")
-        for n in inner:
-            if not isinstance(self.hugr.op(n), ExtensionOp):
-                raise RewriteError("pattern inner nodes must be extension ops or wildcards")
-        if self.anchor not in inner:
-            raise RewriteError("anchor must be an inner node of the fragment")
-        if _is_wildcard(self.hugr.op(self.anchor)):
-            raise RewriteError("anchor must not be a wildcard")
-        children = self.hugr.children(region)
-        out_node = children[1]
-        for i in range(len(self.boundary().outputs)):
-            feeds = self.hugr.neighbours(in_port(out_node, i))
-            if feeds and feeds[0].node == children[0]:
-                raise RewriteError("pattern boundary must not pass inputs through")
-        self._check_connected()
+        self.program = _compile(self)
 
     def boundary(self) -> Signature:
-        return _fragment_boundary(self.hugr)
+        return self.hugr.op(fragment_region(self.hugr)).scheme.body
 
     def inner_nodes(self) -> list[int]:
         return self.hugr.children(fragment_region(self.hugr))[2:]
-
-    @cached_property
-    def program(self) -> _Program:
-        """The compiled match program, built on first use."""
-        return _compile(self)
-
-    def _check_connected(self) -> None:
-        inner = set(self.inner_nodes())
-        seen = {self.anchor}
-        frontier = [self.anchor]
-        while frontier:
-            n = frontier.pop()
-            nd = self.hugr.node(n)
-            for edges in nd.in_edges + nd.out_edges:
-                for e in edges:
-                    for other in (e.src.node, e.dst.node):
-                        if other in inner and other not in seen:
-                            seen.add(other)
-                            frontier.append(other)
-        if seen != inner:
-            raise RewriteError("pattern fragment must be connected")
 
 
 @dataclass
@@ -154,10 +118,8 @@ class Match:
 
     def host_output_port(self, index: int) -> Port:
         """The host port providing boundary output ``index``."""
-        ph = self.pattern.hugr
-        out_node = ph.children(fragment_region(ph))[1]
-        src = ph.neighbours(in_port(out_node, index))[0]
-        return out_port(self.mapping[src.node], src.offset)
+        pn, off = self.pattern.program.outputs[index]
+        return out_port(self.mapping[pn], off)
 
 
 @dataclass
@@ -189,10 +151,16 @@ class RewriteRule:
     lhs: Pattern
     rhs: Hugr  # fragment shaped like a pattern's graph
     name: str
+    # the rhs fragment's region; its inner nodes in region order, by index among them
+    _body: int = field(init=False, repr=False, compare=False)
+    _ranks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.lhs.boundary() != _fragment_boundary(self.rhs):
+        self._body = fragment_region(self.rhs)
+        if self.lhs.boundary() != self.rhs.op(self._body).scheme.body:
             raise RewriteError(f"rule {self.name!r}: boundary signatures differ")
+        rank = {c: i for i, c in enumerate(self.rhs.children(self._body)[2:])}
+        self._ranks = tuple(rank[c] for c in region_order(self.rhs, self._body) if c in rank)
 
 
 def fragment_region(fragment: Hugr) -> int:
@@ -202,10 +170,6 @@ def fragment_region(fragment: Hugr) -> int:
         if isinstance(fragment.op(c), FuncDef):
             return c
     raise RewriteError("fragment must contain one function definition")
-
-
-def _fragment_boundary(fragment: Hugr) -> Signature:
-    return fragment.op(fragment_region(fragment)).scheme.body
 
 
 # ── matching ───────────────────────────────────────────────────────
@@ -226,14 +190,40 @@ class _Program:
     radius: int  # largest BFS distance from the anchor to an inner node
     out_ports: tuple[tuple, ...]  # (node, offset, inner (node, offset) targets, exported)
     inputs: tuple[tuple[tuple[int, int], ...], ...]  # inner (node, offset) fed per input
+    outputs: tuple[tuple[int, int], ...]  # inner (node, offset) feeding each output
 
 
 def _compile(pattern: Pattern) -> _Program:
-    ph = pattern.hugr
-    inner = set(pattern.inner_nodes())
+    """Check ``pattern``'s fragment and compile it, in one pass: the Input and
+    Output of its boundary first, then extension ops that the steps reach from
+    the anchor, with one edge from one of them into each boundary output."""
+    ph, anchor = pattern.hugr, pattern.anchor
+    boundary = pattern.boundary()
+    children = ph.children(fragment_region(ph))
+    if [ph.op(c) for c in children[:2]] != [Input(boundary.inputs), Output(boundary.outputs)]:
+        raise RewriteError("pattern fragment must open with the Input and Output of its boundary")
+    p_input, p_output, *rest = children
+    inner = set(rest)
+    if not inner:
+        raise RewriteError("pattern fragment has no inner nodes")
+    if not all(isinstance(ph.op(n), ExtensionOp) for n in inner):
+        raise RewriteError("pattern inner nodes must be extension ops or wildcards")
+    if anchor not in inner:
+        raise RewriteError("anchor must be an inner node of the fragment")
+    if _is_wildcard(ph.op(anchor)):
+        raise RewriteError("anchor must not be a wildcard")
+    outputs = []
+    for off in range(len(boundary.outputs)):
+        feeds = ph.neighbours(in_port(p_output, off))
+        if feeds and feeds[0].node == p_input:
+            raise RewriteError("pattern boundary must not pass inputs through")
+        if len(feeds) != 1 or feeds[0].node not in inner:
+            raise RewriteError(f"pattern output {off} needs one edge, from an inner node")
+        outputs.append((feeds[0].node, feeds[0].offset))
+
     steps: list[tuple] = []
-    depth = {pattern.anchor: 0}
-    queue = [pattern.anchor]
+    depth = {anchor: 0}
+    queue = [anchor]
     while queue:
         n = queue.pop(0)
         nd = ph.node(n)
@@ -247,23 +237,19 @@ def _compile(pattern: Pattern) -> _Program:
                         steps.append((n, outgoing, off, peer.node, peer.offset,
                                       ph.op(peer.node)))
                         queue.append(peer.node)
+    if len(depth) != len(inner):
+        raise RewriteError("pattern fragment must be connected")
 
-    # a complete mapping holds exactly the nodes the steps reach
-    p_input, p_output = ph.children(fragment_region(ph))[:2]
-    boundary = pattern.boundary()
-    exported = {(e.src.node, e.src.offset)
-                for off in range(len(boundary.outputs))
-                for e in ph.edges_at(in_port(p_output, off))}
     out_ports = tuple(
         (pn, off, tuple((e.dst.node, e.dst.offset) for e in edges if e.dst.node in depth),
-         (pn, off) in exported)
+         (pn, off) in outputs)
         for pn in depth for off, edges in enumerate(ph.node(pn).out_edges))
     inputs = tuple(
         tuple((e.dst.node, e.dst.offset) for e in ph.edges_at(out_port(p_input, off))
               if e.dst.node in depth)
         for off in range(len(boundary.inputs)))
-    return _Program(ph.op(pattern.anchor), tuple(steps), max(depth.values()),
-                    out_ports, inputs)
+    return _Program(ph.op(anchor), tuple(steps), max(depth.values()),
+                    out_ports, inputs, tuple(outputs))
 
 
 def _anchor_candidates(h: Hugr, region: int, ops) -> dict[OpKind, list[int]]:
@@ -462,15 +448,13 @@ def apply(rule: RewriteRule, match: Match, h: Hugr, registry: Registry) -> Rewri
     if verified is None or verified[0] is not h or verified[1] != h.version:
         _recheck(rule.lhs, match, h)
 
-    body = fragment_region(rule.rhs)
-
     def build(b: DfBuilder, ins: tuple[Port, ...]) -> tuple[Port, ...]:
         try:
-            return splice_region(b, rule.rhs, body, ins)
+            return splice_region(b, rule.rhs, rule._body, ins)
         except BuildError as exc:  # a replacement that is no dataflow fragment
             raise ValidationFailed(f"rule {rule.name!r}: {exc}") from exc
 
-    outputs = [match.host_output_port(j) for j in range(len(rule.lhs.boundary().outputs))]
+    outputs = [match.host_output_port(j) for j in range(len(rule.lhs.program.outputs))]
     removed, added, added_edges = replace(
         h, match.region, [match.mapping[pn] for pn in sorted(match.mapping)], outputs,
         match.boundary_sources, build, registry,
@@ -680,9 +664,7 @@ class _Worklist:
         step = (hi - lo) / (k + 1)
         bounds = [lo, *(lo + step * j for j in range(1, k + 1)), hi]
         # the i-th added node copies the i-th rhs child after Input and Output
-        rhs, body = rule.rhs, fragment_region(rule.rhs)
-        rank = {c: i for i, c in enumerate(rhs.node(body).children[2:])}
-        order = [added[rank[c]] for c in rhs.derived(region_order, body) if c in rank]
+        order = [added[i] for i in rule._ranks]
         if len(order) < k or not all(a < b for a, b in zip(bounds, bounds[1:])):
             del self.orders[delta.region]  # no gap, or no float left in it
             return

@@ -96,11 +96,15 @@ class CfgView:
         if len(exits) != 1:
             raise InvalidInput("CFG must have exactly one exit block")
         entry, exit_ = children[0], exits[0]
+        members = {c for c in children if isinstance(h.op(c), (BasicBlock, ExitBlock))}
         succ: dict[int, list[int]] = {}
         for b in children:
             if isinstance(h.op(b), BasicBlock):
-                succ[b] = [h.neighbours(out_port(b, tag))[0].node
-                           for tag in range(h.op(b).successor_count)]
+                ports = [h.neighbours(out_port(b, tag)) for tag in range(h.op(b).successor_count)]
+                for tag, p in enumerate(ports):
+                    if not p or p[0].node not in members:
+                        raise InvalidInput(f"block {b} has no successor block on tag {tag}")
+                succ[b] = [p[0].node for p in ports]
         reachable = {entry}
         frontier = [entry]
         while frontier:

@@ -424,3 +424,72 @@ def perf_setup(n_ops: int = 15, n_rules: int = 100, n_gates: int = 1000,
             (wires[w],) = b.ext("perf.gates", f"g{g:02d}", wires[w])
     b.set_outputs(*wires)
     return reg, rules, m.hugr
+
+
+def stock_rule_circuit(registry: Registry) -> Hugr:
+    """A circuit on which every stock rule matches: H·H, X·X and Rz·Rz sharing
+    one angle on the first qubit, then CX·CX on both."""
+    m = new_module(registry)
+    b = m.define_function("main", Signature((QUBIT, QUBIT, F64), (QUBIT, QUBIT)))
+    q, r, a = b.inputs()
+    for g in ("H", "H", "X", "X"):
+        (q,) = b.q(g, q)
+    (q,) = b.q("Rz", q, a)
+    (q,) = b.q("Rz", q, a)
+    q, r = b.q("CX", q, r)
+    q, r = b.q("CX", q, r)
+    b.set_outputs(q, r)
+    return m.hugr
+
+
+# malformed stock rules whose pattern is refused when it is made ...
+PATTERN_FAULTS = ("output_before_input", "scheme_wider_than_input", "output_edge_repointed")
+# ... and whose replacement is refused when it is spliced
+REPLACEMENT_FAULTS = ("replacement_joins_two_edges", "replacement_input_row_too_long",
+                      "replacement_reads_an_extra_input")
+
+
+def malformed_rule(case: str, registry: Registry) -> str:
+    """The rule file of one stock rule with the fault ``case`` names, one of
+    :data:`PATTERN_FAULTS` or :data:`REPLACEMENT_FAULTS`. Each replacement
+    fault shows on :func:`stock_rule_circuit`."""
+    import json
+
+    from hugr_ir.rules import cx_cx_cancel, hh_cancel, rz_merge
+    from hugr_ir.serial import encode_rule
+
+    rule = {"output_edge_repointed": cx_cx_cancel,
+            "replacement_joins_two_edges": rz_merge}.get(case, hh_cancel)(registry)
+    doc = json.loads(encode_rule(rule))
+    lhs, rhs = doc["lhs"], doc["rhs"]
+
+    def record(side, kind, name=None):
+        return next(n for n in side["nodes"]
+                    if n["op"]["kind"] == kind and n["op"].get("name", name) == name)
+
+    def edge_into(side, node, offset):
+        return next(e for e in side["edges"] if e["dst"] == [node["id"], offset])
+
+    qubit = record(lhs, "Input")["op"]["types"][0]
+    if case == "output_before_input":  # the region's first two children swap ops
+        i, o = record(lhs, "Input"), record(lhs, "Output")
+        i["op"], o["op"] = o["op"], i["op"]
+        for e in lhs["edges"]:
+            for end in (e["src"], e["dst"]):
+                end[0] = {i["id"]: o["id"], o["id"]: i["id"]}.get(end[0], end[0])
+    elif case == "scheme_wider_than_input":  # both schemes, so the boundaries agree
+        for side in (lhs, rhs):
+            record(side, "FuncDef", "fragment")["op"]["scheme"]["inputs"].append(qubit)
+    elif case == "output_edge_repointed":  # Output port 0 loses its edge to port 1
+        out = record(lhs, "Output")
+        edge_into(lhs, out, 0)["dst"][1] = 1
+    elif case == "replacement_joins_two_edges":  # Add reads both angles on in1
+        edge_into(rhs, record(rhs, "ExtensionOp", "Add"), 0)["dst"][1] = 1
+    elif case == "replacement_input_row_too_long":
+        record(rhs, "Input")["op"]["types"].append(qubit)
+    elif case == "replacement_reads_an_extra_input":  # ... and the wire comes from it
+        record(rhs, "Input")["op"]["types"].append(qubit)
+        edge_into(rhs, record(rhs, "Output"), 0)["src"][1] = 1
+    else:
+        raise ValueError(f"unknown rule fault {case!r}")
+    return json.dumps(doc)

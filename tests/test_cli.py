@@ -12,7 +12,16 @@ from hugr_ir.programs import all_programs, rus_cfg, rus_loop
 from hugr_ir.rules import hh_cancel, rz_merge
 from hugr_ir.serial import encode_rule
 
-from generators import chain_circuit, main_region, self_recursive, successor_cfg
+from generators import (
+    PATTERN_FAULTS,
+    REPLACEMENT_FAULTS,
+    chain_circuit,
+    main_region,
+    malformed_rule,
+    self_recursive,
+    stock_rule_circuit,
+    successor_cfg,
+)
 
 
 @pytest.fixture()
@@ -264,6 +273,25 @@ def test_run_with_classical_args(programs, capsys):
     assert capsys.readouterr().out.strip() == "qubit"
 
 
+def test_run_parses_and_prints_every_classical_type(registry, tmp_path, capsys):
+    from hugr_ir.build import new_module
+    from hugr_ir.ops import LoadFunction, value_signature
+    from hugr_ir.types import F64, I64, EnumType, PolySignature, Signature
+
+    m = new_module(registry)
+    idf = m.define_function("id", Signature((F64,), (F64,)))
+    idf.set_outputs(*idf.inputs())
+    row = (F64, I64, EnumType(3))
+    fn_type = value_signature(LoadFunction((), PolySignature(0, Signature((F64,), (F64,)))))
+    b = m.define_function("main", Signature(row, row + fn_type.outputs))
+    b.set_outputs(*b.inputs(), b.load_function(idf.container))
+    prog = tmp_path / "typed.hugr.json"
+    prog.write_text(encode(m.hugr))
+    assert main(["run", str(prog), "--entry", "main", "--args", "0.5,-7,2"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "0.5", "-7", "tag 2 of 3", f"function {idf.container}"]
+
+
 def test_run_script_exhaustion_reports(programs, capsys):
     assert main(["run", programs["rus_loop"], "--entry", "main",
                  "--outcomes", "0,0"]) == 1
@@ -353,6 +381,26 @@ def test_optimize_rule_anchored_on_input_is_a_decode_error(registry, tmp_path, c
     assert main(["optimize", str(circuit), "--rules", str(rule), "-o", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "anchor" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", PATTERN_FAULTS + REPLACEMENT_FAULTS)
+def test_optimize_refuses_a_malformed_rule_without_a_traceback(registry, tmp_path, capsys,
+                                                                case):
+    """A malformed pattern is refused as the rule file is read (exit 2), a
+    malformed replacement as it is applied (exit 1); neither writes output."""
+    circuit = tmp_path / "c.hugr.json"
+    circuit.write_text(encode(stock_rule_circuit(registry)))
+    rule = tmp_path / "bad.hugrrule.json"
+    rule.write_text(malformed_rule(case, registry))
+    out = tmp_path / "out.hugr.json"
+    status = main(["optimize", str(circuit), "--rules", str(rule), "-o", str(out)])
+    err = capsys.readouterr().err
+    if case in PATTERN_FAULTS:
+        assert (status, err.startswith("error: invalid rule ")) == (2, True), err
+    else:
+        assert (status, err.startswith("ValidationFailed: ")) == (1, True), err
+    assert "Traceback" not in err
     assert not out.exists()
 
 

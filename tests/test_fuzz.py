@@ -9,6 +9,11 @@ files (rules, extensions, and graphs to structure or run) exit with a status
 rather than a traceback. Mutant rules applied to a circuit and mutant
 programs structured CFG by CFG leave the graph byte for byte as it was when
 they are refused or undone, and a tree.
+
+Structural mutants of the rule files re-point an edge, swap the ops of two
+nodes or delete a node, so they stay well-formed JSON graphs and reach the
+rule checks; reading one and saturating with it raises only ``DecodeError``
+or ``RewriteError``.
 """
 
 import copy
@@ -23,7 +28,7 @@ import pytest
 from hugr_ir import Cfg, Hugr, decode, encode
 from hugr_ir.cli import main
 from hugr_ir.programs import all_programs, rus_cfg
-from hugr_ir.rewrite import RewriteError, apply, find_matches, undo
+from hugr_ir.rewrite import RewriteError, apply, find_matches, saturate, undo
 from hugr_ir.rules import standard_rules
 from hugr_ir.serial import (
     DecodeError,
@@ -35,7 +40,13 @@ from hugr_ir.serial import (
 from hugr_ir.structure import StructuringError, structure_cfg
 from hugr_ir.validate import validate
 
-from generators import chain_circuit, hierarchy_faults, main_region, nested_cfg_module
+from generators import (
+    chain_circuit,
+    hierarchy_faults,
+    main_region,
+    nested_cfg_module,
+    stock_rule_circuit,
+)
 
 MUTANTS = 4000
 
@@ -204,4 +215,50 @@ def test_refused_and_undone_mutations_leave_the_graph_as_it_was(registry):
                 outcomes["refused structuring"] += 1
                 assert encode(g) == before
             assert hierarchy_faults(g) == []
+    assert min(outcomes.values()) >= 5 and len(outcomes) == 4, outcomes
+
+
+def _structural_mutant(doc: dict, rng: random.Random) -> str:
+    """One structural change to the lhs or the rhs of a rule document: an
+    edge end re-pointed (its port moved by one, or another node), the ops of
+    two node records swapped, or a node deleted with its edges."""
+    doc = copy.deepcopy(doc)
+    side = doc[rng.choice(["lhs", "rhs"])]
+    nodes, edges = side["nodes"], side["edges"]
+    action = rng.randrange(3)
+    if action == 0 and edges:
+        end = rng.choice(edges)[rng.choice(["src", "dst"])]
+        if rng.random() < 0.5:
+            end[1] += rng.choice([-1, 1])
+        else:
+            end[0] = rng.choice(nodes)["id"]
+    elif action == 1:
+        a, b = rng.sample(nodes, 2)
+        a["op"], b["op"] = b["op"], a["op"]
+    else:
+        gone = rng.choice(nodes)["id"]
+        side["nodes"] = [n for n in nodes if n["id"] != gone]
+        side["edges"] = [e for e in edges if gone not in (e["src"][0], e["dst"][0])]
+    return json.dumps(doc)
+
+
+def test_structural_rule_mutants_raise_only_their_error_families(registry):
+    docs = [json.loads(encode_rule(r)) for r in standard_rules(registry)]
+    circuit = encode(stock_rule_circuit(registry))
+    rng = random.Random(22)
+    escapes = []
+    outcomes = Counter()
+    for i in range(MUTANTS):
+        text = _structural_mutant(docs[i % len(docs)], rng)
+        try:
+            rule = decode_rule(text)
+            outcomes["decoded"] += 1
+            saturate([rule], decode(circuit), 10, registry)
+            outcomes["saturated"] += 1
+        except (DecodeError, RewriteError) as exc:
+            outcomes[type(exc).__name__] += 1
+        except Exception as exc:  # every other exception is an escape
+            escapes.append((type(exc).__name__, str(exc)[:80], text[:200]))
+    assert escapes == []
+    # the mutants reach every outcome
     assert min(outcomes.values()) >= 5 and len(outcomes) == 4, outcomes

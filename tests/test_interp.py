@@ -1,11 +1,14 @@
 """Reference evaluator: classical exactness, statevector semantics, outcomes."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from hugr_ir import (
     EnumValue,
     F64Value,
+    I64Value,
     Interpreter,
     InterpError,
     Scripted,
@@ -33,7 +36,7 @@ from hugr_ir.programs import (
     rus_cfg,
     rus_loop,
 )
-from hugr_ir.types import BOOL, F64, QUBIT, Signature
+from hugr_ir.types import BOOL, F64, I64, QUBIT, Signature
 
 from generators import chain_circuit, random_circuit, self_recursive
 
@@ -425,3 +428,17 @@ def test_a_bad_seed_is_an_interp_error(seed):
     with pytest.raises(InterpError, match="bad seed"):
         Seeded(seed)
     assert Seeded(0).next_outcome(1.0) is True
+
+
+def test_boolean_ops_and_an_i64_constant_through_run(registry):
+    m = new_module(registry)
+    b = m.define_function("main", Signature((BOOL, BOOL), (BOOL, BOOL, BOOL, I64)))
+    x, y = b.inputs()
+    (nx,) = b.cl("Not", x)
+    (xy,) = b.cl("And", x, y)
+    (xoy,) = b.cl("Or", x, y)
+    b.set_outputs(nx, xy, xoy, b.const(7, I64))
+    for x, y in itertools.product((False, True), repeat=2):
+        outs = run(m.hugr, "main", [bool_value(x), bool_value(y)], Scripted([]), registry)
+        assert outs == [bool_value(not x), bool_value(x and y), bool_value(x or y),
+                        I64Value(7)], (x, y)

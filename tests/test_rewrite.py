@@ -1,5 +1,7 @@
 """Pattern matching and rule application, cross-checked against a naive oracle."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from hugr_ir import (
     Interpreter,
     Scripted,
     Value,
+    decode,
     encode,
     ext_op,
     in_port,
@@ -33,9 +36,19 @@ from hugr_ir.rewrite import (
     wildcard,
 )
 from hugr_ir.rules import cx_cx_cancel, hh_cancel, rz_merge, standard_rules, xx_cancel
+from hugr_ir.serial import DecodeError, decode_rule
 from hugr_ir.types import F64, QUBIT, Signature
 
-from generators import chain_circuit, hierarchy_faults, main_region, random_circuit
+from generators import (
+    PATTERN_FAULTS,
+    REPLACEMENT_FAULTS,
+    chain_circuit,
+    hierarchy_faults,
+    main_region,
+    malformed_rule,
+    random_circuit,
+    stock_rule_circuit,
+)
 from oracles import naive_find_matches
 
 
@@ -247,6 +260,36 @@ class TestApply:
         (match,) = find_matches(bad.lhs, h, main_region(h))
         with pytest.raises(ValidationFailed, match="leaves outputs \\[0\\] unwired"):
             apply(bad, match, h, registry)
+        assert encode(h) == reference
+        assert hierarchy_faults(h) == []
+
+    @pytest.mark.parametrize("case", PATTERN_FAULTS)
+    def test_a_malformed_pattern_is_refused_when_made(self, registry, case):
+        doc = json.loads(malformed_rule(case, registry))
+        with pytest.raises(RewriteError) as made:
+            Pattern(decode(json.dumps(doc["lhs"])), doc["anchor"])
+        with pytest.raises(DecodeError) as read:
+            decode_rule(json.dumps(doc))
+        assert str(read.value) == f"invalid rule {doc['name']!r}: {made.value}"
+
+    def test_a_pattern_in_two_pieces_is_refused(self, registry):
+        m = new_module(registry)
+        b = m.define_function("fragment", Signature((QUBIT, QUBIT), (QUBIT, QUBIT)))
+        q, r = b.inputs()
+        (q,) = b.q("H", q)
+        (r,) = b.q("H", r)
+        b.set_outputs(q, r)
+        with pytest.raises(RewriteError, match="must be connected"):
+            Pattern(m.hugr, q.node)
+
+    @pytest.mark.parametrize("case", REPLACEMENT_FAULTS)
+    def test_a_malformed_replacement_is_refused_when_applied(self, registry, case):
+        rule = decode_rule(malformed_rule(case, registry))
+        h = stock_rule_circuit(registry)
+        reference = encode(h)
+        (match,) = find_matches(rule.lhs, h, main_region(h))
+        with pytest.raises(ValidationFailed, match=f"rule {rule.name!r}: "):
+            apply(rule, match, h, registry)
         assert encode(h) == reference
         assert hierarchy_faults(h) == []
 

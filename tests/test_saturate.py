@@ -4,6 +4,7 @@ import numpy as np
 
 from hugr_ir import encode, validate
 from hugr_ir.build import new_module
+from hugr_ir.graph import in_port
 from hugr_ir.rewrite import MatchStats, Pattern, RewriteRule, find_matches, saturate
 from hugr_ir.rules import _passthrough, cx_cx_cancel, hh_cancel, standard_rules, xx_cancel
 from hugr_ir.types import BOOL, F64, QUBIT, Signature
@@ -122,6 +123,23 @@ def _chain(registry, gates):
     return m.hugr
 
 
+def _hh_beside_a_value_cycle(registry):
+    """H·H, and in the same region an Add fed back through a Neg: a value
+    cycle that leaves the region without a topological order."""
+    m = new_module(registry)
+    b = m.define_function("main", Signature((QUBIT, F64), (QUBIT,)))
+    q, a = b.inputs()
+    (q,) = b.q("H", q)
+    (q,) = b.q("H", q)
+    (s,) = b.cl("Add", a, a)
+    (n,) = b.cl("Neg", s)
+    (edge,) = m.hugr.edges_at(in_port(s.node, 1))
+    m.hugr.disconnect(edge)
+    b.connect(n, in_port(s.node, 1))
+    b.set_outputs(q)
+    return m.hugr
+
+
 class TestAgainstFullRescan:
     def test_perf_setup(self):
         reg, rules, h = perf_setup(n_rules=100, n_gates=1000)
@@ -153,6 +171,12 @@ class TestAgainstFullRescan:
         applied = _assert_same_as_naive(rules, h, registry)
         assert [name for name, _ in applied] == ["cxcx_cancel", "far_convex"]
         assert validate(h, registry) == []
+
+    def test_region_with_a_value_cycle(self, registry):
+        # convexity walks without positions where the region has no order
+        h = _hh_beside_a_value_cycle(registry)
+        applied = _assert_same_as_naive(standard_rules(registry), h, registry)
+        assert applied == [("hh_cancel", 4)]
 
     def test_anchor_one_hop_from_the_rewrite(self, registry):
         rules, h = _shared_angle(registry)

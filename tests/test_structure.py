@@ -24,6 +24,7 @@ from hugr_ir.ops import Const, LoadConst, Static
 from hugr_ir.programs import rotation_pipeline, rus_cfg, rus_loop
 from hugr_ir.structure import (
     CfgView,
+    InvalidInput,
     IrreducibleCfg,
     StructuringError,
     UnsupportedCfg,
@@ -98,6 +99,25 @@ class TestReducibility:
     def test_straight_line_is_reducible(self, registry):
         h = _single_block_cfg(registry, self_loop=False)
         assert is_reducible(CfgView.of(h, _cfg_node(h)))
+
+    def test_a_block_missing_a_successor_edge_is_invalid_input(self, registry):
+        h = successor_cfg([[1, -1], [-1]], registry)
+        cfg = _cfg_node(h)
+        block = h.children(cfg)[0]
+        (edge,) = h.edges_at(out_port(block, 1))
+        h.disconnect(edge)  # linked on tag 0 only
+        with pytest.raises(InvalidInput, match=f"block {block} has no successor block on tag 1"):
+            is_reducible(CfgView.of(h, cfg))
+
+    def test_a_successor_edge_leaving_the_cfg_is_invalid_input(self, registry):
+        h = successor_cfg([[1], [-1]], registry)
+        cfg = _cfg_node(h)
+        block = h.children(cfg)[0]
+        (edge,) = h.edges_at(out_port(block, 0))
+        h.disconnect(edge)
+        h.connect(edge.src, in_port(cfg, 0), edge.kind)  # onto the CFG node itself
+        with pytest.raises(InvalidInput, match=f"block {block} has no successor block on tag 0"):
+            is_reducible(CfgView.of(h, cfg))
 
     def test_random_grammar_cfgs_are_reducible(self, registry):
         rng = np.random.default_rng(43)

@@ -24,7 +24,15 @@ from hugr_ir.programs import all_programs, fanout_rejected
 from hugr_ir.types import BOOL, F64, QUBIT, PolySignature, Signature
 from hugr_ir.validate import Code, validate, validate_region
 
-from generators import main_region, random_circuit, inject_fault, FAULT_KINDS
+from generators import (
+    FAULT_KINDS,
+    chain_circuit,
+    inject_fault,
+    main_region,
+    random_circuit,
+    successor_cfg,
+)
+from oracles import naive_validate
 
 
 VALID_PROGRAMS = ["rotation_pipeline", "measurement_branch", "external_call",
@@ -363,3 +371,109 @@ def test_a_control_edge_into_a_non_block_is_a_diagnostic(registry):
     assert (Code.CfgShapeError, "control edges must target a sibling block") in messages
     assert (Code.BadChildKind,
             "CFGs may only contain basic blocks and one exit block") in messages
+
+
+# ── diagnostics of rare faults, one small graph each ───────────────
+
+def _f64_function(registry):
+    m = new_module(registry)
+    return m.hugr, m.define_function("main", Signature((F64,), (F64,)))
+
+
+def _listed_twice(registry):
+    h = chain_circuit(["H"], registry)
+    h.node(h.root).children.append(main_region(h))
+    return h, main_region(h)
+
+
+def _listed_under_a_sibling(registry):
+    m = new_module(registry)
+    f = m.define_function("f", Signature((F64,), (F64,)))
+    f.set_outputs(*f.inputs())
+    g = m.define_function("g", Signature((F64,), (F64,)))
+    g.set_outputs(*g.inputs())
+    h = m.hugr
+    h.node(h.root).children.remove(g.container)
+    h.node(f.container).children.append(g.container)
+    return h, g.container
+
+
+def _exit_block_in_a_function(registry, wired: bool):
+    h, b = _f64_function(registry)
+    b.set_outputs(*b.inputs())
+    x = h.add_node(ExitBlock((F64,)), b.container)
+    if wired:
+        h.connect(out_port(b.input_node, 0), in_port(x, 0), Value(F64))
+    return h, x
+
+
+def _const_read_as_a_value(registry):
+    h, b = _f64_function(registry)
+    c = h.add_node(Const(1.0, F64), b.container)
+    h.connect(out_port(c, 0), in_port(b.output_node, 0), Value(F64))
+    return h, b.output_node
+
+
+def _load_const_fed_by_the_input(registry, kind):
+    h, b = _f64_function(registry)
+    load = h.add_node(LoadConst(F64), b.container)
+    h.connect(out_port(b.input_node, 0), in_port(load, 0), kind)
+    b.set_outputs(out_port(load, 0))
+    return h, load
+
+
+def _gate_with_a_type_argument(registry):
+    m = new_module(registry)
+    b = m.define_function("main", Signature((QUBIT,), (QUBIT,)))
+    (q,) = b.add(ExtensionOp("stdlib.quantum", "H", (F64,), Signature((QUBIT,), (QUBIT,))),
+                 *b.inputs())
+    b.set_outputs(q)
+    return m.hugr, q.node
+
+
+def _exit_block_in_a_conditional(registry):
+    m = new_module(registry)
+    b = m.define_function("main", Signature((BOOL, F64), (F64,)))
+    flag, x = b.inputs()
+    outs, cases = b.conditional(flag, (x,), (F64,))
+    for case in cases:
+        case.set_outputs(*case.inputs())
+    b.set_outputs(*outs)
+    return m.hugr, m.hugr.add_node(ExitBlock((F64,)), outs[0].node)
+
+
+def _exit_block_first(registry):
+    h = successor_cfg([[-1]], registry)
+    cfg = next(n for n in h.preorder() if isinstance(h.op(n), Cfg))
+    children = h.node(cfg).children
+    children.insert(0, children.pop())
+    return h, cfg
+
+
+_RARE_DIAGNOSTICS = [
+    (Code.NonTreeHierarchy, "node reachable twice from the root", _listed_twice),
+    (Code.NonTreeHierarchy, "parent link disagrees with children list",
+     _listed_under_a_sibling),
+    (Code.BadChildKind, "ExitBlock is not a dataflow operation",
+     lambda r: _exit_block_in_a_function(r, wired=False)),
+    (Code.EdgeTypeMismatch, "control-flow port carries a non-control edge",
+     lambda r: _exit_block_in_a_function(r, wired=True)),
+    (Code.EdgeTypeMismatch, "value edge leaves a non-value port", _const_read_as_a_value),
+    (Code.EdgeTypeMismatch, "static port wired with a Value edge",
+     lambda r: _load_const_fed_by_the_input(r, Value(F64))),
+    (Code.StaticScopeError, "static edge source must be a definition or constant, got Input",
+     lambda r: _load_const_fed_by_the_input(r, Static(F64))),
+    (Code.UnknownOp, "stdlib.quantum.H: bad type arguments "
+     "(scheme expects 0 type arguments, got 1)", _gate_with_a_type_argument),
+    (Code.BadChildKind, "conditionals may only contain cases", _exit_block_in_a_conditional),
+    (Code.CfgShapeError, "CFG entry (first child) must be a basic block", _exit_block_first),
+]
+
+
+@pytest.mark.parametrize("code, message, build", _RARE_DIAGNOSTICS,
+                         ids=[m for _, m, _ in _RARE_DIAGNOSTICS])
+def test_a_rare_fault_has_its_diagnostic(registry, code, message, build):
+    h, node = build(registry)
+    diags = validate(h, registry)
+    assert (code, node, message) in [(d.code, d.node, d.message) for d in diags]
+    assert diags == naive_validate(h, registry)
