@@ -1,11 +1,12 @@
 """Hierarchical typed port-graph IR for mixed quantum-classical programs.
 
 Importing the package loads the types, ops, graph, serial and validate
-modules: what reading, checking and writing a graph needs. The modules only
-some commands need are imported on first access to one of their names:
-:mod:`~hugr_ir.build`, :mod:`~hugr_ir.rewrite` (``hugr optimize``),
-:mod:`~hugr_ir.structure` (``hugr structure``) and the reference evaluator
-:mod:`~hugr_ir.interp` (``hugr run``), which alone needs numpy.
+modules: what reading, checking and writing a graph needs. It loads neither
+numpy nor ``dataclasses``. The modules only some commands need are imported
+on first access to one of their names: :mod:`~hugr_ir.build`,
+:mod:`~hugr_ir.rewrite` (``hugr optimize``), :mod:`~hugr_ir.structure`
+(``hugr structure``) and the reference evaluator :mod:`~hugr_ir.interp`
+(``hugr run``), which alone needs numpy.
 """
 
 import importlib

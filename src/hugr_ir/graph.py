@@ -6,11 +6,11 @@ to an incoming port and carry an explicit kind (value, static or control
 flow). Children order is significant everywhere: region inputs/outputs, case
 order, CFG entry.
 
-``Port`` and ``Edge`` are named tuples: immutable, and built, hashed and
-compared field by field in C, so an edge costs three small tuples. ``Node``
-is a slotted record whose edge lists are sized from its op's port rows.
-:meth:`Hugr.from_preorder` builds a whole hierarchy in one pass, as the
-decoder does; edges always go through :meth:`Hugr.connect`.
+``Port``, ``Edge`` and ``RemovedSubtree`` are named tuples: immutable, and
+built, hashed and compared field by field in C, so an edge costs three small
+tuples. ``Node`` is a slotted record whose edge lists are sized from its
+op's port rows. A new node gets its id only from :meth:`Hugr.add_node` and
+an edge is recorded only by :meth:`Hugr.connect`, in the decoder too.
 
 Node ids are never reused within one graph instance, which keeps undo logs
 and rewrite deltas unambiguous; :attr:`Hugr.next_id` is the id the next
@@ -33,9 +33,8 @@ the topological positions of its convexity checks from.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Callable, Iterable, NamedTuple, TypeVar
+from typing import Callable, NamedTuple, TypeVar
 
 from .ops import ControlFlow, OpKind, PortKind, Static, Value
 
@@ -110,8 +109,7 @@ class Node:
         return self.op.rows
 
 
-@dataclass
-class RemovedSubtree:
+class RemovedSubtree(NamedTuple):
     """Material returned by :meth:`Hugr.remove_node`, sufficient for undo."""
 
     nodes: list[tuple[int, int, OpKind]]  # (id, parent, op) in preorder
@@ -240,30 +238,8 @@ class Hugr:
         pnode = self.node(parent)
         nid = self._fresh_node(op, parent)
         pnode.children.append(nid)
-        assert self._nodes[nid].parent == parent  # fresh leaf keeps the tree a tree
         self.version += 1
         return nid
-
-    @classmethod
-    def from_preorder(cls, root_op: OpKind, nodes: Iterable[tuple[int, OpKind]]) -> "Hugr":
-        """A graph of ``root_op`` and one node per ``(parent, op)`` pair, each
-        appended to ``parent``'s children, which must be an earlier node.
-
-        The ids are those of ``add_node`` calls in the same order: the root
-        is 0 and the ``k``-th pair is node ``k + 1``.
-        """
-        h = cls(root_op)
-        table = h._nodes
-        nid = h._next_id
-        for parent, op in nodes:
-            pnode = table.get(parent)
-            if pnode is None:
-                raise GraphError(f"unknown node {parent}")
-            table[nid] = Node(nid, parent, op)
-            pnode.children.append(nid)
-            nid += 1
-        h._next_id = nid
-        return h
 
     def connect(self, src: Port, dst: Port, kind: PortKind) -> Edge:
         """Record an edge. Typing is checked later by validation; direction,

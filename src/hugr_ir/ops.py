@@ -7,20 +7,20 @@ do not know an operation can still reason about the graph around it. Extension
 ops therefore carry their concrete signature alongside the (extension, name)
 reference; validation cross-checks the two.
 
-Ops and port kinds are interned like types (see :mod:`hugr_ir.types`): one
-live object per distinct value, compared and hashed by identity. A ``Const``
-of type ``F64`` stores its value as a float, so ``Const(1, F64)`` is
-``Const(1.0, F64)``; other constants keep the exact value given, so
+Ops, port kinds and the extension records :class:`TypeDef`, :class:`OpDef`
+and :class:`Extension` are interned like types (see :mod:`hugr_ir.types`):
+one live object per distinct value, compared and hashed by identity. A
+``Const`` of type ``F64`` stores its value as a float, so ``Const(1, F64)``
+is ``Const(1.0, F64)``; other constants keep the exact value given, so
 ``Const(1, I64)`` and ``Const(1.0, I64)`` stay two ops. Each op computes its
-port rows once, on first use, and every node holding it shares them. An op
-class declares its fields as annotated class attributes, in order, with a
-default as the attribute's value (``type_args: tuple[Type, ...] = ()``);
+port rows once, on first use, and every node holding it shares them. A
+record class declares its fields as annotated class attributes, in order,
+with a default as the attribute's value (``arity: int = 0``);
 :class:`~hugr_ir.types.Interned` explains the rest of the record contract.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .types import (
@@ -243,8 +243,7 @@ def port_rows(op: OpKind) -> tuple[tuple[PortKind, ...], tuple[PortKind, ...]]:
 
 # ── Extensions and registry ───────────────────────────────────────
 
-@dataclass(frozen=True)
-class TypeDef:
+class TypeDef(Interned):
     """A type brought in by an extension."""
 
     name: str
@@ -252,8 +251,7 @@ class TypeDef:
     arity: int = 0
 
 
-@dataclass(frozen=True)
-class OpDef:
+class OpDef(Interned):
     """An operation brought in by an extension."""
 
     name: str
@@ -261,8 +259,7 @@ class OpDef:
     doc: str = ""
 
 
-@dataclass(frozen=True)
-class Extension:
+class Extension(Interned):
     """A named package of types and operations."""
 
     id: str
@@ -338,26 +335,22 @@ def ext_op(registry: Registry, ext_id: str, name: str, type_args: tuple[Type, ..
 
 # ── Standard library ──────────────────────────────────────────────
 
-def _q(ins: tuple[Type, ...], outs: tuple[Type, ...]) -> PolySignature:
-    return monomorphic(ins, outs)
-
-
 QUANTUM_EXTENSION = Extension(
     "stdlib.quantum",
     types=(TypeDef("qubit", linear=True),),
     ops=(
-        OpDef("H", _q((QUBIT,), (QUBIT,)), "Hadamard"),
-        OpDef("X", _q((QUBIT,), (QUBIT,)), "Pauli X"),
-        OpDef("Z", _q((QUBIT,), (QUBIT,)), "Pauli Z"),
-        OpDef("CX", _q((QUBIT, QUBIT), (QUBIT, QUBIT)), "controlled X; control first"),
-        OpDef("Rz", _q((QUBIT, F64), (QUBIT,)), "Z rotation by an angle in radians"),
-        OpDef("Rx", _q((QUBIT, F64), (QUBIT,)), "X rotation by an angle in radians"),
-        OpDef("T", _q((QUBIT,), (QUBIT,)), "pi/8 phase"),
-        OpDef("Tdg", _q((QUBIT,), (QUBIT,)), "inverse T"),
-        OpDef("TxDg", _q((QUBIT,), (QUBIT,)), "X-basis inverse T: H then Tdg then H"),
-        OpDef("Measure", _q((QUBIT,), (QUBIT, BOOL)), "computational-basis measurement"),
-        OpDef("QAlloc", _q((), (QUBIT,)), "fresh qubit in |0>"),
-        OpDef("QFree", _q((QUBIT,), ()), "release a (separable) qubit"),
+        OpDef("H", monomorphic((QUBIT,), (QUBIT,)), "Hadamard"),
+        OpDef("X", monomorphic((QUBIT,), (QUBIT,)), "Pauli X"),
+        OpDef("Z", monomorphic((QUBIT,), (QUBIT,)), "Pauli Z"),
+        OpDef("CX", monomorphic((QUBIT, QUBIT), (QUBIT, QUBIT)), "controlled X; control first"),
+        OpDef("Rz", monomorphic((QUBIT, F64), (QUBIT,)), "Z rotation by an angle in radians"),
+        OpDef("Rx", monomorphic((QUBIT, F64), (QUBIT,)), "X rotation by an angle in radians"),
+        OpDef("T", monomorphic((QUBIT,), (QUBIT,)), "pi/8 phase"),
+        OpDef("Tdg", monomorphic((QUBIT,), (QUBIT,)), "inverse T"),
+        OpDef("TxDg", monomorphic((QUBIT,), (QUBIT,)), "X-basis inverse T: H then Tdg then H"),
+        OpDef("Measure", monomorphic((QUBIT,), (QUBIT, BOOL)), "computational-basis measurement"),
+        OpDef("QAlloc", monomorphic((), (QUBIT,)), "fresh qubit in |0>"),
+        OpDef("QFree", monomorphic((QUBIT,), ()), "release a (separable) qubit"),
     ),
 )
 
@@ -365,19 +358,19 @@ CLASSICAL_EXTENSION = Extension(
     "stdlib.classical",
     types=(TypeDef("f64", linear=False), TypeDef("i64", linear=False)),
     ops=(
-        OpDef("Add", _q((F64, F64), (F64,))),
-        OpDef("Sub", _q((F64, F64), (F64,))),
-        OpDef("Mul", _q((F64, F64), (F64,))),
-        OpDef("Neg", _q((F64,), (F64,))),
-        OpDef("Eq", _q((F64, F64), (BOOL,))),
-        OpDef("Neq", _q((F64, F64), (BOOL,))),
-        OpDef("Lt", _q((F64, F64), (BOOL,))),
-        OpDef("Le", _q((F64, F64), (BOOL,))),
-        OpDef("Gt", _q((F64, F64), (BOOL,))),
-        OpDef("Ge", _q((F64, F64), (BOOL,))),
-        OpDef("Not", _q((BOOL,), (BOOL,))),
-        OpDef("And", _q((BOOL, BOOL), (BOOL,))),
-        OpDef("Or", _q((BOOL, BOOL), (BOOL,))),
+        OpDef("Add", monomorphic((F64, F64), (F64,))),
+        OpDef("Sub", monomorphic((F64, F64), (F64,))),
+        OpDef("Mul", monomorphic((F64, F64), (F64,))),
+        OpDef("Neg", monomorphic((F64,), (F64,))),
+        OpDef("Eq", monomorphic((F64, F64), (BOOL,))),
+        OpDef("Neq", monomorphic((F64, F64), (BOOL,))),
+        OpDef("Lt", monomorphic((F64, F64), (BOOL,))),
+        OpDef("Le", monomorphic((F64, F64), (BOOL,))),
+        OpDef("Gt", monomorphic((F64, F64), (BOOL,))),
+        OpDef("Ge", monomorphic((F64, F64), (BOOL,))),
+        OpDef("Not", monomorphic((BOOL,), (BOOL,))),
+        OpDef("And", monomorphic((BOOL, BOOL), (BOOL,))),
+        OpDef("Or", monomorphic((BOOL, BOOL), (BOOL,))),
     ),
 )
 

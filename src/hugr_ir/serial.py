@@ -16,8 +16,8 @@ distinct term is read once while the object it names is alive, and ops
 still die with the last graph that uses them. In front of it, a plain dict
 per document answers a repeated term with one lookup. Those bytes keep JSON
 ``1``, ``1.0`` and ``true`` apart, and ``0.0`` from ``-0.0``. The decoder
-builds the hierarchy in one pass (:meth:`Hugr.from_preorder`) and records
-every edge through :meth:`Hugr.connect`.
+adds every node through :meth:`Hugr.add_node`, in hierarchy preorder, and
+records every edge through :meth:`Hugr.connect`.
 
 Integer fields are strict: node ``id`` and ``parent``, edge ports,
 ``successors``, ``cardinality``, ``{"enum"}``, ``{"var"}``, ``params`` and a
@@ -435,17 +435,15 @@ def _from_document_mapped(doc: Any) -> tuple[Hugr, dict[int, int]]:
             raise DecodeError(f"node references unknown parent {parent}")
 
     # new ids in hierarchy preorder, as add_node calls in that order give
-    idmap = {roots[0]: 0}
-    nodes: list[tuple[int, OpKind]] = []
-    stack = [(c, 0) for c in reversed(children.get(roots[0], []))]
+    h = Hugr(by_id[roots[0]])
+    idmap = {roots[0]: h.root}
+    stack = [(c, h.root) for c in reversed(children.get(roots[0], []))]
     while stack:
         nid, parent = stack.pop()
-        idmap[nid] = new = len(idmap)
-        nodes.append((parent, by_id[nid]))
+        idmap[nid] = new = h.add_node(by_id[nid], parent)
         stack.extend((c, new) for c in reversed(children.get(nid, [])))
     if len(idmap) != len(by_id):
         raise DecodeError("hierarchy contains unreachable nodes (parent cycle?)")
-    h = Hugr.from_preorder(by_id[roots[0]], nodes)
 
     for i, rec in enumerate(edge_recs):
         try:

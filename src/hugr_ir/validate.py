@@ -39,7 +39,7 @@ is checked by identity; only a mismatch is compared in full, to word it.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import Direction, Edge, Hugr, Port, region_order
 from .ops import (
@@ -86,8 +86,7 @@ class Code(enum.Enum):
     UnknownOp = "UnknownOp"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     code: Code
     node: int
     port: Port | None
@@ -140,20 +139,13 @@ def validate_region(h: Hugr, parent: int, registry: Registry) -> list[Diagnostic
 
 def validate_touched(h: Hugr, region: int, touched: set[int],
                      registry: Registry) -> list[Diagnostic]:
-    """Port checks of the touched nodes still in ``region``. The checks ask
-    region membership only of a node's neighbours, so only those are listed."""
-    checked = [n for n in sorted(touched) if n in h and h.parent(n) == region]
-    member = set(checked)
-    for n in checked:
-        nd = h.node(n)
-        member.update(e.src.node for edges in nd.in_edges for e in edges
-                      if h.parent(e.src.node) == region)
-        member.update(e.dst.node for edges in nd.out_edges for e in edges
-                      if h.parent(e.dst.node) == region)
+    """Port checks of the touched nodes still in ``region``, in id order. A
+    neighbour is in the region if its parent link says so."""
     diags: list[Diagnostic] = []
     facts: dict[OpKind, tuple] = {}
-    for n in checked:
-        diags.extend(_check_node_ports(h, n, member, registry, facts))
+    for n in sorted(touched):
+        if n in h and h.parent(n) == region:
+            diags.extend(_check_node_ports(h, n, registry, facts))
     return diags
 
 
@@ -326,22 +318,25 @@ def _check_dataflow_region(h: Hugr, parent: int, op: OpKind, registry: Registry,
             diags.append(Diagnostic(Code.BadChildKind, c, None,
                                     f"{type(c_op).__name__} is not a dataflow operation"))
 
-    member = set(children)
     for c in children:
-        diags.extend(_check_node_ports(h, c, member, registry, facts))
+        diags.extend(_check_node_ports(h, c, registry, facts))
 
     order = h.derived(region_order, parent)
     if len(order) < len(children):
-        diags.append(Diagnostic(Code.DataflowCycle, min(member.difference(order)), None,
+        diags.append(Diagnostic(Code.DataflowCycle, min(set(children).difference(order)), None,
                                 "value edges form a cycle within the region"))
     return diags
 
 
-def _check_node_ports(h: Hugr, n: int, region: set[int], registry: Registry,
+def _check_node_ports(h: Hugr, n: int, registry: Registry,
                       facts: dict[OpKind, tuple]) -> list[Diagnostic]:
+    """The port checks of ``n``; a peer shares its region if it shares its
+    parent, and an id not in the graph is outside every region."""
     diags: list[Diagnostic] = []
-    nd = h.node(n)
+    table = h._nodes
+    nd = table[n]
     op = nd.op
+    region = nd.parent
     ins = op.rows[0]
 
     if isinstance(op, ExtensionOp):
@@ -354,8 +349,9 @@ def _check_node_ports(h: Hugr, n: int, region: set[int], registry: Registry,
                 diags.append(Diagnostic(Code.InputPortUnwired, n, Port(n, Direction.IN, off),
                                         f"value input needs exactly one edge, found {len(edges)}"))
             for e in edges:
+                src = table.get(e.src.node)
                 # interned kinds: the edge and its source port carry this very Value
-                if e.kind is not kind or e.src.node not in region \
+                if e.kind is not kind or src is None or src.parent != region \
                         or h.port_kind(e.src) is not kind:
                     diags.extend(_check_value_edge(h, e, kind.type, region))
         elif isinstance(kind, Static):
@@ -383,7 +379,8 @@ def _check_node_ports(h: Hugr, n: int, region: set[int], registry: Registry,
         elif isinstance(fact, str):
             diags.append(Diagnostic(Code.UnknownOp, n, Port(n, Direction.OUT, off), fact))
         for e in edges:
-            if e.dst.node not in region:
+            dst = table.get(e.dst.node)
+            if dst is None or dst.parent != region:
                 diags.append(Diagnostic(Code.EdgeTypeMismatch, n, Port(n, Direction.OUT, off),
                                         "value edge leaves its region"))
     return diags
@@ -407,14 +404,14 @@ def _out_facts(op: OpKind, registry: Registry) -> tuple:
     return tuple(facts)
 
 
-def _check_value_edge(h: Hugr, e: Edge, dst_type: Type,
-                      region: set[int]) -> list[Diagnostic]:
+def _check_value_edge(h: Hugr, e: Edge, dst_type: Type, region: int) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     if not isinstance(e.kind, Value):
         diags.append(Diagnostic(Code.EdgeTypeMismatch, e.dst.node, e.dst,
                                 f"value port wired with a {type(e.kind).__name__} edge"))
         return diags
-    if e.src.node not in region:
+    src = h._nodes.get(e.src.node)
+    if src is None or src.parent != region:
         diags.append(Diagnostic(Code.EdgeTypeMismatch, e.dst.node, e.dst,
                                 "value edge crosses region boundaries"))
         return diags
@@ -500,7 +497,6 @@ def _check_conditional(h: Hugr, parent: int, op: Conditional) -> list[Diagnostic
 def _check_cfg(h: Hugr, parent: int, op: Cfg) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     children = h.children(parent)
-    member = set(children)
     blocks = [c for c in children if isinstance(h.op(c), BasicBlock)]
     exits = [c for c in children if isinstance(h.op(c), ExitBlock)]
     for c in children:
@@ -533,7 +529,8 @@ def _check_cfg(h: Hugr, parent: int, op: Cfg) -> list[Diagnostic]:
                                         f"successor {tag} needs exactly one control edge, found {len(edges)}"))
                 continue
             e = edges[0]
-            succ_op = h.op(e.dst.node) if e.dst.node in member else None
+            succ = h._nodes.get(e.dst.node)
+            succ_op = succ.op if succ is not None and succ.parent == parent else None
             if not isinstance(e.kind, ControlFlow) \
                     or not isinstance(succ_op, (BasicBlock, ExitBlock)):
                 diags.append(Diagnostic(Code.CfgShapeError, b, port,

@@ -1407,7 +1407,9 @@ def naive_from_document(doc: Any) -> tuple[Hugr, dict[int, int]]:
 # ``naive_validate`` and ``naive_validate_region`` are the checks that
 # recompute each port's linearity per node, build a ``Port`` per value
 # output, and walk the hierarchy twice. They are kept verbatim apart from
-# their names; ``Code`` and ``Diagnostic`` are the real ones.
+# their names and one fix: like ``validate``, ``naive_validate`` runs no
+# other check on a hierarchy that is not a tree. ``Code`` and
+# ``Diagnostic`` are the real ones.
 
 def _naive_sort_key(d: Diagnostic):
     if d.port is None:
@@ -1438,8 +1440,12 @@ _naive_LEAF_OPS = (
 def naive_validate(h: Hugr, registry: Registry) -> list[Diagnostic]:
     """All diagnostics for the whole graph; empty means valid."""
     diags = _naive_check_hierarchy(h)
-    for n in h.preorder():
-        diags.extend(_naive_check_parent(h, n, registry))
+    if not diags:  # the other checks follow children lists and parent links
+        for n in h.preorder():
+            diags.extend(_naive_check_parent(h, n, registry))
+    if not isinstance(h.op(h.root), Module):
+        diags.append(Diagnostic(Code.NonTreeHierarchy, h.root, None,
+                                "root node must be a Module"))
     return _naive_finish(diags)
 
 
@@ -1452,9 +1458,6 @@ def naive_validate_region(h: Hugr, parent: int, registry: Registry) -> list[Diag
 
 def _naive_check_hierarchy(h: Hugr) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
-    if not isinstance(h.op(h.root), Module):
-        diags.append(Diagnostic(Code.NonTreeHierarchy, h.root, None,
-                                "root node must be a Module"))
     seen: set[int] = set()
     stack = [h.root]
     while stack:

@@ -505,6 +505,8 @@ _COLD_START = """
 import sys
 import hugr_ir
 hugr_ir.stdlib()
+heavy = [m for m in ("dataclasses", "inspect") if m in sys.modules]
+assert not heavy, f"import hugr_ir loaded {heavy}"
 loaded = [m for m in ("build", "rewrite", "structure", "interp") if f"hugr_ir.{m}" in sys.modules]
 assert not loaded, f"import hugr_ir loaded {loaded}"
 from hugr_ir.cli import main

@@ -20,12 +20,11 @@ import copy
 import json
 import random
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hugr_ir import Cfg, Hugr, decode, encode
+from hugr_ir import Cfg, Extension, Hugr, decode, encode
 from hugr_ir.cli import main
 from hugr_ir.programs import all_programs, rus_cfg
 from hugr_ir.rewrite import RewriteError, apply, find_matches, saturate, undo
@@ -149,7 +148,8 @@ def test_commands_exit_with_a_status_on_mutant_files(registry, tmp_path, capsys)
     circuit.write_text(encode(chain_circuit(["H", "H", "X", "X", "H"], registry)))
     rules = [encode_rule(r) for r in standard_rules(registry)]
     # renamed, so that a mutant that keeps its id does not clash with the stdlib
-    exts = [encode_extension(replace(e, id=f"fuzz.{e.id}")) for e in registry.extensions()]
+    exts = [encode_extension(Extension(f"fuzz.{e.id}", e.types, e.ops))
+            for e in registry.extensions()]
     programs = [encode(h) for h in all_programs(registry).values()]
     out = str(tmp_path / "out.hugr.json")
     commands = [

@@ -370,46 +370,6 @@ def test_port_and_edge_repr():
         f"Edge(src=3.out0, dst=4.in2, kind={Value(QUBIT)!r})"
 
 
-def _rebuilt(h: Hugr, bulk: bool) -> Hugr:
-    """``h`` with ids in hierarchy preorder, built in one pass or node by node,
-    then given ``h``'s edges in its own order."""
-    order = h.preorder()
-    idmap = {old: new for new, old in enumerate(order)}
-    nodes = [(idmap[h.parent(n)], h.op(n)) for n in order[1:]]
-    if bulk:
-        g = Hugr.from_preorder(h.op(h.root), nodes)
-    else:
-        g = Hugr(h.op(h.root))
-        for parent, op in nodes:
-            g.add_node(op, parent)
-    for e in h.all_edges():
-        g.connect(out_port(idmap[e.src.node], e.src.offset),
-                  in_port(idmap[e.dst.node], e.dst.offset), e.kind)
-    return g
-
-
-def test_bulk_build_matches_node_by_node(registry):
-    from hugr_ir.programs import all_programs
-
-    for name, h in all_programs(registry).items():
-        bulk, single = _rebuilt(h, True), _rebuilt(h, False)
-        assert len(bulk) == len(single) == len(h)
-        for n in single.preorder():
-            a, b = bulk.node(n), single.node(n)
-            assert (a.parent, a.op, a.children) == (b.parent, b.op, b.children), (name, n)
-            assert (a.in_edges, a.out_edges) == (b.in_edges, b.out_edges), (name, n)
-        assert encode(bulk) == encode(h)
-        # the next fresh id is the same too
-        assert bulk.add_node(Case(), bulk.root) == single.add_node(Case(), single.root)
-
-
-def test_bulk_build_needs_earlier_parents():
-    with pytest.raises(GraphError):
-        Hugr.from_preorder(Module(), [(0, Case()), (3, Case())])
-    h = Hugr.from_preorder(Module(), [(0, Case()), (1, Case()), (0, Case())])
-    assert h.children(0) == [1, 3] and h.children(1) == [2]
-
-
 def test_copy_shares_no_mutable_list(registry):
     from hugr_ir.programs import measurement_branch
 

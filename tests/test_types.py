@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hugr_ir import stdlib
+from hugr_ir.ops import OpDef
 from hugr_ir.types import (
     BOOL,
     F64,
@@ -206,7 +207,7 @@ def test_concurrent_construction_yields_one_object():
 
 
 def _interned_classes() -> list[type]:
-    import hugr_ir.ops  # noqa: F401  (the op and port-kind records)
+    import hugr_ir.ops  # noqa: F401  (the op, port-kind and extension records)
     from hugr_ir.types import Interned
 
     found, todo = [], [Interned]
@@ -224,7 +225,8 @@ _SAMPLES = {
     "param_count": 2, "body": Signature((VarType(1),), ()), "types": (QUBIT, F64),
     "type_args": (F64,), "scheme": PolySignature(1, Signature((VarType(0),), ())),
     "value": 0.5, "type": F64, "other_inputs": (F64,), "successor_count": 2,
-    "loop_vars": (QUBIT,), "payload": F64,
+    "loop_vars": (QUBIT,), "payload": F64, "linear": True, "arity": 1, "doc": "a gadget",
+    "id": "acme.gadgets", "ops": (OpDef("g", PolySignature(0)),),
 }
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hugr_ir import Hugr, Value, ext_op, in_port, out_port
+from hugr_ir import Edge, Hugr, Value, ext_op, in_port, out_port
 from hugr_ir.build import new_module
 from hugr_ir.ops import (
     BasicBlock,
@@ -323,6 +323,45 @@ def test_a_dangling_child_is_reported(registry):
         naive_validate(h, registry)
 
 
+def _with_a_dangling_edge(registry, direction: str):
+    """``rus_loop`` with one more edge at an H gate's qubit port, from or to
+    an id that is not in the graph."""
+    h = all_programs(registry)["rus_loop"]
+    gate = next(n for n in h.preorder()
+                if isinstance(h.op(n), ExtensionOp) and h.op(n).name == "H")
+    ghost, nd = h.next_id, h.node(gate)
+    if direction == "in":
+        nd.in_edges[0].append(Edge(out_port(ghost, 0), in_port(gate, 0), Value(QUBIT)))
+    else:
+        nd.out_edges[0].append(Edge(out_port(gate, 0), in_port(ghost, 0), Value(QUBIT)))
+    return h, gate
+
+
+_DANGLING = {
+    "in": ["EdgeTypeMismatch node={g} port=in0: value edge crosses region boundaries",
+           "InputPortUnwired node={g} port=in0: value input needs exactly one edge, found 2"],
+    "out": ["EdgeTypeMismatch node={g} port=out0: value edge leaves its region",
+            "LinearityViolation node={g} port=out0: linear output needs exactly one edge, found 2"],
+}
+
+
+@pytest.mark.parametrize("direction", sorted(_DANGLING))
+def test_a_dangling_edge_is_outside_the_region(registry, direction):
+    h, gate = _with_a_dangling_edge(registry, direction)
+    assert [d.render() for d in validate(h, registry)] == \
+        [line.format(g=gate) for line in _DANGLING[direction]]
+
+
+@pytest.mark.parametrize("direction", sorted(_DANGLING))
+def test_validate_touched_reads_a_dangling_edge_as_outside(registry, direction):
+    from hugr_ir.validate import validate_touched
+
+    h, gate = _with_a_dangling_edge(registry, direction)
+    diags = validate_touched(h, h.parent(gate), {gate}, registry)
+    assert sorted(d.render() for d in diags) == \
+        [line.format(g=gate) for line in _DANGLING[direction]]
+
+
 def test_an_orphan_node_is_reported(registry):
     from hugr_ir.graph import Node
     from oracles import naive_validate
@@ -384,6 +423,14 @@ def _listed_twice(registry):
     h = chain_circuit(["H"], registry)
     h.node(h.root).children.append(main_region(h))
     return h, main_region(h)
+
+
+def _listed_twice_in_its_region(registry):
+    h = all_programs(registry)["rotation_pipeline"]
+    region = main_region(h)
+    gate = next(c for c in h.children(region) if isinstance(h.op(c), ExtensionOp))
+    h.node(region).children.append(gate)
+    return h, gate
 
 
 def _listed_under_a_sibling(registry):
@@ -467,11 +514,13 @@ _RARE_DIAGNOSTICS = [
      "(scheme expects 0 type arguments, got 1)", _gate_with_a_type_argument),
     (Code.BadChildKind, "conditionals may only contain cases", _exit_block_in_a_conditional),
     (Code.CfgShapeError, "CFG entry (first child) must be a basic block", _exit_block_first),
+    (Code.NonTreeHierarchy, "node reachable twice from the root", _listed_twice_in_its_region),
 ]
+# named by their messages; the last case repeats the first one's
+_RARE_IDS = [m for _, m, _ in _RARE_DIAGNOSTICS[:-1]] + ["node listed twice by its own region"]
 
 
-@pytest.mark.parametrize("code, message, build", _RARE_DIAGNOSTICS,
-                         ids=[m for _, m, _ in _RARE_DIAGNOSTICS])
+@pytest.mark.parametrize("code, message, build", _RARE_DIAGNOSTICS, ids=_RARE_IDS)
 def test_a_rare_fault_has_its_diagnostic(registry, code, message, build):
     h, node = build(registry)
     diags = validate(h, registry)
